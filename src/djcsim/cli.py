@@ -12,15 +12,17 @@ sweep    repeat single/double runs along one parameter axis and summarize
 
 Each run writes one CSV (headers mandatory, '.' decimal separator, LF line
 endings) and prints a summary to stdout.  Parameters can also be supplied
-as key=value lines in a file passed with --config; command-line flags win
-over file values.  Exit codes: 0 success, 2 invalid parameters or paths,
-3 numerical failure (nonfinite amplitudes).
+as key=value lines in a file passed with --config; keys are the flag names
+with underscores, values are checked exactly like flags, and command-line
+flags win over file values.  Exit codes: 0 success, 2 invalid parameters or
+paths, 3 numerical failure (nonfinite amplitudes).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from typing import List, Optional
@@ -40,7 +42,9 @@ from .revivals import (
 )
 from .single import init_atoms_entangled, init_fields_entangled
 
-_SWEEP_AXES = ("theta", "n_modes", "length_ratio", "omega_a")
+#: Sweep axis -> the option destination it sets.
+_SWEEP_DESTS = {"theta": "theta", "n_modes": "modes", "length_ratio": "length_ratio",
+                "omega_a": "omega_a"}
 
 _PI_EXPR = re.compile(r"^\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$")
 
@@ -61,26 +65,15 @@ def _parse_values(text: str) -> List[float]:
     return [parse_number(item) for item in items]
 
 
-_CONFIG_CONVERTERS = {
-    "theta": parse_number,
-    "modes": int,
-    "length_ratio": float,
-    "omega_a": float,
-    "profile": str,
-    "initial": str,
-    "tmax": float,
-    "dt": float,
-    "stride": int,
-    "out": str,
-    "angle_convention": str,
-    "axis": str,
-    "values": str,
-}
+def _config_tokens(path: str, sub: argparse.ArgumentParser) -> List[str]:
+    """Turn flat key=value lines into ``sub``'s own option tokens.
 
-
-def _load_config_file(path: str) -> dict:
-    """Read flat key=value lines; '#' starts a comment."""
-    overrides = {}
+    Keys are the option destinations (flag names with underscores); '#'
+    starts a comment.  argparse then checks the values exactly like flags.
+    """
+    flags = {action.dest: action.option_strings[0] for action in sub._actions
+             if action.option_strings and action.dest not in ("config", "help")}
+    tokens = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -90,10 +83,10 @@ def _load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_CONVERTERS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            overrides[key] = _CONFIG_CONVERTERS[key](value.strip())
-    return overrides
+            if key not in flags:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r} for '{sub.prog}'")
+            tokens.append(f"{flags[key]}={value.strip()}")
+    return tokens
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -150,7 +143,7 @@ def _build_parser():
                        default="atoms",
                        help="scenario swept: single with atoms/fields entangled, "
                             "or the double-excitation run (default atoms)")
-    sweep.add_argument("--axis", choices=_SWEEP_AXES, default=None,
+    sweep.add_argument("--axis", choices=tuple(_SWEEP_DESTS), default=None,
                        help="parameter to sweep")
     sweep.add_argument("--values", default=None,
                        help="comma-separated axis values (pi expressions allowed)")
@@ -227,7 +220,7 @@ def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport
     print(f"wrote {out_path}")
 
 
-def _run_trajectory(args: argparse.Namespace, scenario: str) -> int:
+def _run_trajectory(args: argparse.Namespace, scenario: str) -> RevivalReport:
     config = _make_config(args)
     grid = build_mode_grid(config)
     t_max = args.tmax if args.tmax is not None else _default_tmax(config)
@@ -257,7 +250,7 @@ def _run_trajectory(args: argparse.Namespace, scenario: str) -> int:
           f"length_ratio={config.length_ratio} profile={config.coupling_profile} "
           f"theta={config.theta!r} ({args.angle_convention} convention)")
     _print_summary(config, traj, report, out_path)
-    return 0
+    return report
 
 
 def _run_kernel(args: argparse.Namespace) -> int:
@@ -298,84 +291,63 @@ def _run_sweep(args: argparse.Namespace) -> int:
     values = _parse_values(args.values)
     if not values:
         raise ValueError("values list is empty")
-    out_path = args.out or "djcsim_sweep.csv"
-    stem, dot, ext = out_path.rpartition(".")
-    if not dot:
-        stem, ext = out_path, "csv"
+    stem, ext = os.path.splitext(args.out or "djcsim_sweep.csv")
+    ext = ext or ".csv"
+    dest = _SWEEP_DESTS[args.axis]
+    scenario = "double" if args.initial == "double" else f"single-{args.initial}"
 
-    run_outputs = []
+    # Build and check every point before the first run writes a file.
+    points = []
     for index, value in enumerate(values):
         run_args = argparse.Namespace(**vars(args))
-        if args.axis == "theta":
-            run_args.theta = value
-        elif args.axis == "n_modes":
-            if value != int(value):
-                raise ValueError(f"n_modes value must be an integer, got {value!r}")
-            run_args.modes = int(value)
-        elif args.axis == "length_ratio":
-            run_args.length_ratio = value
-        else:
-            run_args.omega_a = value
-        run_args.out = f"{stem}_{args.axis}_{index:02d}.{ext}"
-        scenario = "double" if args.initial == "double" else f"single-{args.initial}"
-        print(f"--- sweep {args.axis}={value!r} ---")
-        _run_trajectory(run_args, scenario)
-        run_outputs.append((value, run_args.out))
+        if dest == "modes" and not value.is_integer():
+            raise ValueError(f"n_modes value must be an integer, got {value!r}")
+        setattr(run_args, dest, int(value) if dest == "modes" else value)
+        run_args.out = f"{stem}_{args.axis}_{index:02d}{ext}"
+        _make_config(run_args)
+        points.append((value, run_args))
 
-    summary_path = f"{stem}_summary.{ext}"
+    reports = []
+    for value, run_args in points:
+        print(f"--- sweep {args.axis}={value!r} ---")
+        reports.append((value, _run_trajectory(run_args, scenario)))
+
+    summary_path = f"{stem}_summary{ext}"
     with open(summary_path, "w", encoding="ascii", newline="") as handle:
         handle.write("value,first_revival_peak,first_dead_start\n")
-        for value, csv_path in run_outputs:
-            report = detect_revivals(_read_back(csv_path))
-            peak = ""
-            dead = ""
+        for value, report in reports:
+            peak = dead = ""
             if report.dead_intervals:
                 dead = _format(report.dead_intervals[0][0])
                 try:
                     peak = _format(first_revival_after_death(report).peak_value)
                 except ValueError:
-                    peak = ""
+                    pass
             handle.write(f"{_format(value)},{peak},{dead}\n")
     print(f"wrote {summary_path}")
     return 0
 
 
-def _read_back(csv_path: str) -> Trajectory:
-    """Reload a written trajectory CSV (sweep summaries reuse the detector)."""
-    with open(csv_path, "r", encoding="ascii") as handle:
-        header = handle.readline().strip().split(",")
-        data = [line.strip().split(",") for line in handle if line.strip()]
-    columns = {name: np.array([float(row[i]) for row in data])
-               for i, name in enumerate(header)}
-    times = columns.pop("t")
-    return Trajectory(times=times, records=columns)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, subs = _build_parser()
-    args, _ = parser.parse_known_args(argv)
-    if getattr(args, "config", None):
+    args = parser.parse_args(argv)
+    if args.config:
         try:
-            overrides = _load_config_file(args.config)
+            tokens = _config_tokens(args.config, subs[args.command])
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        unknown = set(overrides) - {a.dest for a in subs[args.command]._actions}
-        if unknown:
-            print(f"error: config keys not valid for '{args.command}': "
-                  f"{sorted(unknown)}", file=sys.stderr)
-            return 2
-        subs[args.command].set_defaults(**overrides)
-    args = parser.parse_args(argv)
+        # File options go first, so a command-line flag (parsed later) wins.
+        args = parser.parse_args(argv[:1] + tokens + argv[1:])
 
     try:
-        if args.command == "single":
-            return _run_trajectory(args, f"single-{args.initial}")
-        if args.command == "double":
-            return _run_trajectory(args, "double")
         if args.command == "kernel":
             return _run_kernel(args)
-        return _run_sweep(args)
+        if args.command == "sweep":
+            return _run_sweep(args)
+        _run_trajectory(args, "double" if args.command == "double" else f"single-{args.initial}")
+        return 0
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

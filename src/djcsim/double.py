@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ModeGrid
+from .model import ModeGrid, check_theta
 
 
 @dataclass
@@ -82,8 +82,7 @@ def init_double(theta: float, grid: ModeGrid) -> DoubleExcState:
 
     d00 = cos(theta), d11 = sin(theta), all photon amplitudes zero.
     """
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
+    check_theta(theta)
     n = grid.n
     return DoubleExcState(
         d00=complex(math.cos(theta)),

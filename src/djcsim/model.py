@@ -12,6 +12,7 @@ transition.  Both cavities of the pair share one grid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ class SystemConfig:
     length_ratio : float
         Cavity length over atomic wavelength, L / lambda_a.
     n_modes : int
-        Number of field modes per cavity.  Must be odd so the grid is
-        symmetric about the atomic resonance.
+        Number of field modes per cavity, of any integral type.  Must be odd
+        so the grid is symmetric about the atomic resonance.
     theta : float
         Mixing angle of the initial entangled state, radians in [0, pi/2].
     coupling_profile : str
@@ -48,16 +49,16 @@ class SystemConfig:
     coupling_profile: str = "sqrtfreq"
 
     def __post_init__(self):
-        if not isinstance(self.n_modes, int) or self.n_modes < 1 or self.n_modes % 2 == 0:
+        if (not isinstance(self.n_modes, numbers.Integral) or self.n_modes < 1
+                or self.n_modes % 2 == 0):
             raise ValueError(
                 f"n_modes must be a positive odd integer, got {self.n_modes!r}"
             )
-        if not self.omega_a > 0:
-            raise ValueError(f"omega_a must be positive, got {self.omega_a!r}")
-        if not self.length_ratio > 0:
-            raise ValueError(f"length_ratio must be positive, got {self.length_ratio!r}")
-        if not 0.0 <= self.theta <= math.pi / 2:
-            raise ValueError(f"theta must lie in [0, pi/2], got {self.theta!r}")
+        for name in ("omega_a", "length_ratio"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        check_theta(self.theta)
         if self.coupling_profile not in COUPLING_PROFILES:
             raise ValueError(
                 f"coupling_profile must be one of {COUPLING_PROFILES}, "
@@ -76,6 +77,12 @@ class SystemConfig:
     def mode_spacing(self) -> float:
         """Frequency gap between adjacent cavity modes, omega_a / (L/lambda_a)."""
         return self.omega_a / self.length_ratio
+
+
+def check_theta(theta: float) -> None:
+    """Reject a mixing angle outside [0, pi/2] (NaN included)."""
+    if not 0.0 <= theta <= math.pi / 2:
+        raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
 
 
 @dataclass(frozen=True)

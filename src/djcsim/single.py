@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ModeGrid
+from .model import ModeGrid, check_theta
 
 
 @dataclass
@@ -62,7 +62,7 @@ class SingleExcState:
 
 def init_atoms_entangled(theta: float, grid: ModeGrid) -> SingleExcState:
     """Atoms entangled, fields in vacuum: c1 = cos(theta), c2 = sin(theta)."""
-    _check_theta(theta)
+    check_theta(theta)
     return SingleExcState(
         c1=complex(math.cos(theta)),
         c2=complex(math.sin(theta)),
@@ -77,7 +77,7 @@ def init_fields_entangled(theta: float, grid: ModeGrid) -> SingleExcState:
     The photon occupies the central (zero-detuning) mode of each cavity:
     ca[central] = cos(theta), cb[central] = sin(theta).
     """
-    _check_theta(theta)
+    check_theta(theta)
     ca = np.zeros(grid.n, dtype=complex)
     cb = np.zeros(grid.n, dtype=complex)
     ca[grid.central_index] = math.cos(theta)
@@ -128,8 +128,3 @@ def observables_single(state: SingleExcState) -> dict:
         "pop_cav_b": pop_b,
         "norm": pop1 + pop2 + pop_a + pop_b,
     }
-
-
-def _check_theta(theta: float) -> None:
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")

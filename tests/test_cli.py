@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import djcsim
 from djcsim import IntegrationError
 from djcsim.cli import main, parse_number
 
@@ -154,6 +158,22 @@ def test_sweep_rejects_fractional_mode_count(capsys):
     assert "integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis,values", [("n_modes", "3,3.5"), ("theta", "pi/4,3.0")])
+def test_sweep_checks_every_value_before_the_first_run(tmp_path, axis, values):
+    assert main(["sweep", "--axis", axis, "--values", values, "--tmax", "0.5",
+                 "--out", str(tmp_path / "part.csv")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_output_in_dotted_directory(tmp_path):
+    out_dir = tmp_path / "run.v2"
+    out_dir.mkdir()
+    assert main(["sweep", "--axis", "theta", "--values", "pi/4", "--modes", "1",
+                 "--tmax", "0.5", "--out", str(out_dir / "sweep")]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "sweep_summary.csv", "sweep_theta_00.csv"]
+
+
 def test_invalid_parameters_exit_2(tmp_path, capsys):
     assert main(["single", "--modes", "4", "--out", str(tmp_path / "x.csv")]) == 2
     assert "n_modes" in capsys.readouterr().err
@@ -203,6 +223,38 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("volume=11\n")
     assert main(["single", "--config", str(cfg)]) == 2
     assert "volume" in capsys.readouterr().err
+    # a key of another subcommand is unknown here
+    cfg.write_text("initial=atoms\n")
+    assert main(["double", "--config", str(cfg)]) == 2
+    assert "initial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("single", "angle_convention", "swaped"),
+    ("single", "initial", "bogus"),
+    ("sweep", "axis", "bogus"),
+])
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    flag = "--" + key.replace("_", "-")
+    for argv in ([command, flag, value], [command, "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--modes", "1", "--tmax", "0.5", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(djcsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import djcsim.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -71,10 +71,16 @@ def test_grid_symmetry():
     np.testing.assert_allclose(np.diff(grid.detunings), grid.spacing, rtol=1e-15)
 
 
-@pytest.mark.parametrize("bad_n", [0, -3, 2, 10])
+@pytest.mark.parametrize("bad_n", [0, -3, 2, 10, np.int64(4), 3.0])
 def test_rejects_even_or_nonpositive_mode_counts(bad_n):
     with pytest.raises(ValueError, match="n_modes"):
         SystemConfig(omega_a=10.0, length_ratio=5.0, n_modes=bad_n)
+
+
+@pytest.mark.parametrize("n", [3, np.int64(3), np.int32(3)])
+def test_accepts_integral_mode_counts(n):
+    grid = build_mode_grid(SystemConfig(omega_a=10.0, length_ratio=5.0, n_modes=n))
+    assert grid.n == 3
 
 
 def test_rejects_modes_below_zero_frequency():
@@ -90,6 +96,11 @@ def test_rejects_modes_below_zero_frequency():
         (dict(omega_a=10.0, length_ratio=0.0), "length_ratio"),
         (dict(omega_a=10.0, length_ratio=5.0, theta=2.0), "theta"),
         (dict(omega_a=10.0, length_ratio=5.0, coupling_profile="airy"), "coupling_profile"),
+        (dict(omega_a=math.inf, length_ratio=670.0), "omega_a"),
+        (dict(omega_a=math.nan, length_ratio=670.0), "omega_a"),
+        (dict(omega_a=10.0, length_ratio=math.inf), "length_ratio"),
+        (dict(omega_a=10.0, length_ratio=math.nan), "length_ratio"),
+        (dict(omega_a=10.0, length_ratio=5.0, theta=math.nan), "theta"),
     ],
 )
 def test_rejects_invalid_fields(kwargs, field):

@@ -8,6 +8,7 @@ from djcsim import (
     build_mode_grid,
     deriv_single,
     init_atoms_entangled,
+    init_double,
     init_fields_entangled,
     observables_single,
 )
@@ -83,6 +84,8 @@ def test_init_rejects_theta_out_of_range(grid1):
         init_atoms_entangled(-0.1, grid1)
     with pytest.raises(ValueError, match="theta"):
         init_fields_entangled(2.0, grid1)
+    with pytest.raises(ValueError, match="theta"):
+        init_double(2.0, grid1)
 
 
 def test_deriv_at_initial_atom_state(grid1):
