@@ -17,6 +17,7 @@ from .double import (
 from .evolve import (
     IntegrationError,
     Trajectory,
+    comb_spectrum,
     default_step,
     expm_oracle,
     integrate,
@@ -59,6 +60,7 @@ __all__ = [
     "SystemConfig",
     "Trajectory",
     "build_mode_grid",
+    "comb_spectrum",
     "concurrence_double_closed",
     "concurrence_single_closed",
     "concurrence_wootters",

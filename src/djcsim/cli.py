@@ -14,8 +14,10 @@ Each run writes one CSV (headers mandatory, '.' decimal separator, LF line
 endings) and prints a summary to stdout.  Parameters can also be supplied
 as key=value lines in a file passed with --config; keys are the flag names
 with underscores, values are checked exactly like flags, and command-line
-flags win over file values.  Exit codes: 0 success, 2 invalid parameters or
-paths, 3 numerical failure (nonfinite amplitudes).
+flags win over file values.  Runs propagate with the exact single-comb
+engine unless --engine rk4 is given.  Exit codes: 0 success, 2 invalid
+parameters, paths or a run over the work limits, 3 numerical failure
+(nonfinite amplitudes, or an exact spectrum that fails its check).
 """
 
 from __future__ import annotations
@@ -25,13 +27,23 @@ import math
 import os
 import re
 import sys
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from .double import init_double
-from .evolve import IntegrationError, Trajectory, default_step, run_double, run_single
-from .model import SystemConfig, build_mode_grid, retardation_time
+from .evolve import (
+    ENGINES,
+    IntegrationError,
+    Trajectory,
+    check_window,
+    default_step,
+    run_double,
+    run_single,
+    stability_limit,
+    step_count,
+)
+from .model import ModeGrid, SystemConfig, build_mode_grid, retardation_time
 from .revivals import (
     RevivalReport,
     detect_revivals,
@@ -45,6 +57,11 @@ from .single import init_atoms_entangled, init_fields_entangled
 #: Sweep axis -> the option destination it sets.
 _SWEEP_DESTS = {"theta": "theta", "n_modes": "modes", "length_ratio": "length_ratio",
                 "omega_a": "omega_a"}
+
+#: Most samples one run may record (rows of its CSV).
+MAX_SAMPLES = 10 ** 6
+#: Most steps one run may take under --engine rk4.
+MAX_RK4_STEPS = 10 ** 7
 
 _PI_EXPR = re.compile(r"^\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$")
 
@@ -114,6 +131,12 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                           "cos/sin exchanged (default printed)")
 
 
+def _add_engine_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--engine", choices=ENGINES, default="exact",
+                     help="exact: the single-comb spectrum, --dt sets only the sample "
+                          "grid; rk4: fixed-step Runge-Kutta (default exact)")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="djcsim",
@@ -125,12 +148,14 @@ def _build_parser():
 
     single = commands.add_parser("single", help="single shared excitation")
     _add_common_flags(single)
+    _add_engine_flag(single)
     single.add_argument("--initial", choices=("atoms", "fields"), default="atoms",
                         help="where the initial entanglement sits (default atoms)")
     subs["single"] = single
 
     double = commands.add_parser("double", help="one excitation per cavity")
     _add_common_flags(double)
+    _add_engine_flag(double)
     subs["double"] = double
 
     kernel = commands.add_parser("kernel", help="memory kernel trace")
@@ -139,6 +164,7 @@ def _build_parser():
 
     sweep = commands.add_parser("sweep", help="runs along one parameter axis")
     _add_common_flags(sweep)
+    _add_engine_flag(sweep)
     sweep.add_argument("--initial", choices=("atoms", "fields", "double"),
                        default="atoms",
                        help="scenario swept: single with atoms/fields entangled, "
@@ -197,6 +223,7 @@ def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport
     print(f"initial concurrence: {conc[0]:.6f}")
     print(f"final concurrence:   {conc[-1]:.6f}")
     print(f"max |norm - 1|: {max(abs(norm - 1.0)):.3e}")
+    print(f"engine: {traj.engine}")
     if report.dead_intervals:
         spans = ", ".join(f"[{a:.4f}, {b:.4f}]" for a, b in report.dead_intervals[:5])
         more = " ..." if len(report.dead_intervals) > 5 else ""
@@ -220,29 +247,59 @@ def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport
     print(f"wrote {out_path}")
 
 
-def _run_trajectory(args: argparse.Namespace, scenario: str) -> RevivalReport:
+class _Run(NamedTuple):
+    """One trajectory run, checked and ready to propagate."""
+
+    args: argparse.Namespace
+    scenario: str
+    config: SystemConfig
+    grid: ModeGrid
+    t_max: float
+    dt: float
+    stride: int
+
+
+def _plan(args: argparse.Namespace, scenario: str) -> _Run:
+    """Build and check one run, the work limits included, without running it."""
     config = _make_config(args)
     grid = build_mode_grid(config)
     t_max = args.tmax if args.tmax is not None else _default_tmax(config)
-    if t_max <= 0:
-        raise ValueError(f"tmax must be positive, got {t_max!r}")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"tmax must be positive and finite, got {t_max!r}")
     dt = args.dt
     if dt is None:
         dt = default_step(grid) * (0.5 if scenario == "double" else 1.0)
+    rk4 = args.engine == "rk4"
+    check_window(t_max, dt, max_dt=stability_limit(grid) if rk4 else None)
+    steps = step_count(t_max, dt)
     stride = args.stride
     if stride is None:
         stride = max(1, math.ceil(t_max / dt) // 2000)
     elif stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride!r}")
+    if rk4 and steps > MAX_RK4_STEPS:
+        raise ValueError(f"{steps} RK4 steps exceed the limit of {MAX_RK4_STEPS}; "
+                         f"lower --tmax, raise --dt or use --engine exact")
+    samples = (steps - 1) // stride + 2
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"{samples} samples exceed the limit of {MAX_SAMPLES}; "
+                         f"raise --stride or --dt, or lower --tmax")
+    return _Run(args, scenario, config, grid, t_max, dt, stride)
+
+
+def _run_trajectory(run: _Run) -> RevivalReport:
+    args, scenario, config, grid = run.args, run.scenario, run.config, run.grid
     if scenario == "double":
         state = init_double(config.theta, grid)
-        traj = run_double(grid, state, t_max, dt=dt, sample_stride=stride)
+        traj = run_double(grid, state, run.t_max, dt=run.dt, sample_stride=run.stride,
+                          engine=args.engine)
     else:
         if scenario == "single-fields":
             state = init_fields_entangled(config.theta, grid)
         else:
             state = init_atoms_entangled(config.theta, grid)
-        traj = run_single(grid, state, t_max, dt=dt, sample_stride=stride)
+        traj = run_single(grid, state, run.t_max, dt=run.dt, sample_stride=run.stride,
+                          engine=args.engine)
     out_path = args.out or f"djcsim_{scenario}.csv"
     _write_csv(out_path, "t", traj.times, traj.records)
     report = detect_revivals(traj, predicted_period=retardation_time(config))
@@ -296,7 +353,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
     dest = _SWEEP_DESTS[args.axis]
     scenario = "double" if args.initial == "double" else f"single-{args.initial}"
 
-    # Build and check every point before the first run writes a file.
+    # Build and check every point, work limits included, before the first
+    # run writes a file.
     points = []
     for index, value in enumerate(values):
         run_args = argparse.Namespace(**vars(args))
@@ -304,13 +362,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"n_modes value must be an integer, got {value!r}")
         setattr(run_args, dest, int(value) if dest == "modes" else value)
         run_args.out = f"{stem}_{args.axis}_{index:02d}{ext}"
-        _make_config(run_args)
-        points.append((value, run_args))
+        points.append((value, _plan(run_args, scenario)))
 
     reports = []
-    for value, run_args in points:
+    for value, run in points:
         print(f"--- sweep {args.axis}={value!r} ---")
-        reports.append((value, _run_trajectory(run_args, scenario)))
+        reports.append((value, _run_trajectory(run)))
 
     summary_path = f"{stem}_summary{ext}"
     with open(summary_path, "w", encoding="ascii", newline="") as handle:
@@ -346,7 +403,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _run_kernel(args)
         if args.command == "sweep":
             return _run_sweep(args)
-        _run_trajectory(args, "double" if args.command == "double" else f"single-{args.initial}")
+        scenario = "double" if args.command == "double" else f"single-{args.initial}"
+        _run_trajectory(_plan(args, scenario))
         return 0
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

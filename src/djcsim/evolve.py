@@ -1,4 +1,4 @@
-"""Fixed-step integration of the amplitude equations.
+"""Propagation of the amplitude equations: fixed-step RK4 and an exact engine.
 
 The amplitude equations are linear with a time-independent generator, so a
 classic fourth-order Runge-Kutta scheme with an analytically chosen step is
@@ -6,6 +6,14 @@ accurate, reproducible and simple.  The step resolves the fastest scale of
 the grid (the largest detuning or the collective coupling, whichever is
 larger) with 100 steps per cycle, which keeps the norm of every shipped
 scenario within 1e-6 of 1 over its full window.
+
+The two cavities are independent copies of one atom coupled to one comb of
+modes, so every amplitude the run drivers record follows from that single
+(n+1)-dimensional problem.  Its generator is, up to the photon gauge factor
+i, the real arrowhead [[0, g], [g, diag(delta)]], whose eigenpairs
+``comb_spectrum`` takes from the secular equation.  ``engine="exact"``
+evaluates the atom amplitudes from them at the sample times, with no step
+and no stepping error.
 
 A dense eigendecomposition propagator is provided as an independent
 cross-check for small systems.  It assembles the generator entry by entry
@@ -33,9 +41,20 @@ _RK4_IMAG_STABILITY = 2.0 * math.sqrt(2.0)
 #: Hard cap on the matrix-exponential oracle dimension.
 _EXPM_MAX_DIM = 200
 
+#: Propagation engines of the run drivers.
+ENGINES = ("exact", "rk4")
+
+#: Sample times the exact engine evaluates per block, which bounds its
+#: (block x modes) phase matrix.
+_EXACT_BLOCK = 128
+
+#: Largest eigen residual and orthogonality error the exact engine accepts.
+_SPECTRUM_TOL = 1e-10
+
 
 class IntegrationError(RuntimeError):
-    """The integration produced nonfinite amplitudes (blown-up step size)."""
+    """A run produced nonfinite amplitudes (blown-up step size), or the
+    exact engine's spectrum failed its check."""
 
 
 @dataclass
@@ -44,10 +63,12 @@ class Trajectory:
 
     ``records`` maps column names to arrays aligned with ``times``; the
     insertion order of the keys is the column order written to CSV.
+    ``engine`` says how the run was propagated and how far to trust it.
     """
 
     times: np.ndarray
     records: dict
+    engine: str = ""
 
     def __len__(self) -> int:
         return len(self.times)
@@ -70,6 +91,45 @@ def stability_limit(grid: ModeGrid) -> float:
     collective = math.sqrt(float(np.sum(grid.couplings ** 2)))
     spectral_bound = 2.0 * (float(np.max(np.abs(grid.detunings))) + collective)
     return _RK4_IMAG_STABILITY / spectral_bound
+
+
+def check_window(t_max: float, dt: float, sample_stride: int = 1,
+                 max_dt: Optional[float] = None) -> None:
+    """Reject a window, step or stride that cannot be sampled.
+
+    ``max_dt`` is the stability limit of a stepping engine, if any.
+    """
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not 0.0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be nonnegative and finite, got {t_max!r}")
+    if t_max / dt == math.inf:
+        raise ValueError(f"t_max={t_max!r} over dt={dt!r} overflows; raise dt")
+    if sample_stride < 1:
+        raise ValueError(f"sample_stride must be >= 1, got {sample_stride!r}")
+    if max_dt is not None and dt > max_dt:
+        raise ValueError(
+            f"dt={dt!r} exceeds the stability limit {max_dt!r} for this grid"
+        )
+
+
+def step_count(t_max: float, dt: float) -> int:
+    """Steps of length dt (the last one shortened) that cover [0, t_max]."""
+    return int(math.ceil(t_max / dt - 1e-12)) if t_max > 0.0 else 0
+
+
+def sample_times(t_max: float, dt: float, sample_stride: int = 1) -> np.ndarray:
+    """The times ``integrate`` samples, bit for bit, without stepping.
+
+    0, then k * dt for every multiple k of the stride short of the last
+    step, then t_max.
+    """
+    check_window(t_max, dt, sample_stride)
+    n_steps = step_count(t_max, dt)
+    if n_steps == 0:
+        return np.zeros(1)
+    inner = np.arange(sample_stride, n_steps, sample_stride) * dt
+    return np.concatenate(([0.0], inner, [t_max]))
 
 
 def integrate(
@@ -108,21 +168,12 @@ def integrate(
     IntegrationError
         If any sampled amplitude is nonfinite.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if t_max < 0.0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max!r}")
-    if sample_stride < 1:
-        raise ValueError(f"sample_stride must be >= 1, got {sample_stride!r}")
-    if max_dt is not None and dt > max_dt:
-        raise ValueError(
-            f"dt={dt!r} exceeds the stability limit {max_dt!r} for this grid"
-        )
+    check_window(t_max, dt, sample_stride, max_dt)
     if observe is None:
         observe = lambda t, y: {"norm": float(np.sum(np.abs(y) ** 2))}
 
     y = np.array(state0, dtype=complex)
-    n_steps = int(math.ceil(t_max / dt - 1e-12)) if t_max > 0.0 else 0
+    n_steps = step_count(t_max, dt)
 
     times = []
     rows = []
@@ -147,7 +198,8 @@ def integrate(
             sample(t_max if i + 1 == n_steps else (i + 1) * dt, y)
 
     records = {key: np.array([row[key] for row in rows]) for key in rows[0]}
-    return Trajectory(times=np.array(times), records=records)
+    return Trajectory(times=np.array(times), records=records,
+                      engine=f"rk4 (dt={dt:.6g}, steps={n_steps})")
 
 
 def generator_single(grid: ModeGrid) -> np.ndarray:
@@ -234,20 +286,167 @@ def expm_oracle(
     return unpack(vecs @ (phases * (vecs.conj().T @ state0.to_vector())))
 
 
+@dataclass(frozen=True)
+class CombSpectrum:
+    """Eigenpairs of one cavity's real arrowhead A = [[0, g], [g, diag(delta)]].
+
+    Row j holds the eigenvector of ``eigenvalues[j]``: its atom component
+    ``atom[j]`` and its photon components ``photon[j]``.  The Hermitian
+    i*M of the amplitude equations is D A D^H with D = diag(1, -i, ..., -i),
+    so both share the eigenvalues.  ``residual`` is max|A V - V Lambda| and
+    ``orthogonality`` is max|V^T V - I|.
+    """
+
+    eigenvalues: np.ndarray
+    atom: np.ndarray
+    photon: np.ndarray
+    residual: float
+    orthogonality: float
+
+
+def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
+    """Eigenpairs of one cavity's arrowhead from its secular equation.
+
+    The eigenvalues solve lam = sum_k g_k^2 / (lam - delta_k): one below the
+    lowest detuning, one between each adjacent pair and one above the
+    highest (the detunings increase strictly and the couplings are nonzero,
+    as ``build_mode_grid`` makes them).  All roots are bisected together,
+    each as the offset tau from the pole it lies closer to, so that
+    lam - delta_k keeps full relative accuracy however close the root is to
+    that pole.  The eigenvector of lam is a * (1, g_k / (lam - delta_k))
+    with a = 1 / sqrt(1 + sum_k g_k^2 / (lam - delta_k)^2).
+
+    Both checks cost O(n^2): with S(lam) = sum_k g_k^2 / (lam - delta_k),
+    v_i . v_j = a_i a_j (1 + (S(lam_j) - S(lam_i)) / (lam_i - lam_j)).
+    """
+    delta = grid.detunings
+    g = grid.couplings
+    g2 = g * g
+    n = grid.n
+    roots = np.arange(n + 1)
+    # Root j lies between lower[j] and upper[j]; the outer brackets are the
+    # spectrum of diag(0, delta) widened by the norm of the coupling column.
+    reach = math.sqrt(float(np.sum(g2)))
+    lower = np.concatenate(([min(0.0, delta[0]) - reach], delta))
+    upper = np.concatenate((delta, [max(0.0, delta[-1]) + reach]))
+    mid = 0.5 * (lower + upper)
+    # nonfinite intermediates show up in the residual, which the run checks
+    with np.errstate(all="ignore"):
+        low_half = mid - np.sum(g2 / (mid[:, None] - delta), axis=1) > 0.0
+        # the secular function rises between poles: a positive value at the
+        # midpoint puts the root in the lower half, next to the lower pole
+        origin = np.where(low_half, roots - 1, roots)
+        origin[0], origin[-1] = 0, n - 1  # the outer roots have one pole each
+        pole = delta[origin]
+        lo = np.where(low_half, lower, mid) - pole
+        hi = np.where(low_half, mid, upper) - pole
+        offsets = delta - pole[:, None]  # delta_k - pole_j, exactly 0 at the pole
+        while True:
+            tau = 0.5 * (lo + hi)
+            open_ = (lo < tau) & (tau < hi)
+            if not open_.any():
+                break
+            rising = pole + tau - np.sum(g2 / (tau[:, None] - offsets), axis=1) > 0.0
+            hi = np.where(open_ & rising, tau, hi)
+            lo = np.where(open_ & ~rising, tau, lo)
+
+        eigenvalues = pole + tau
+        gaps = tau[:, None] - offsets  # lam_j - delta_k
+        ratio = g / gaps
+        norm2 = 1.0 + np.sum(ratio * ratio, axis=1)
+        atom = 1.0 / np.sqrt(norm2)
+        photon = ratio * atom[:, None]
+        residual = np.maximum(  # atom row, then photon rows (NaN propagates)
+            np.max(np.abs(np.sum(g * photon, axis=1) - eigenvalues * atom)),
+            np.max(np.abs(g * atom[:, None] - gaps * photon)))
+        secular = np.sum(g2 / gaps, axis=1)
+        overlap = np.outer(atom, atom) * (
+            1.0 + (secular - secular[:, None]) / (eigenvalues[:, None] - eigenvalues))
+        overlap[roots, roots] = atom * atom * norm2 - 1.0
+    return CombSpectrum(eigenvalues=eigenvalues, atom=atom, photon=photon,
+                        residual=float(residual),
+                        orthogonality=float(np.max(np.abs(overlap))))
+
+
+def _exact_atoms(grid: ModeGrid, blocks, times: np.ndarray):
+    """Atom amplitudes of cavity blocks started at (atom0, photons0), at every time.
+
+    Each amplitude is u(t) = sum_j exp(-i lam_j t) w_j, the atom row of
+    D V exp(-i Lambda t) V^T D^H applied to the start, where D^H gives the
+    photons the factor i.  The phases are formed for at most
+    ``_EXACT_BLOCK`` times at once and shared by the blocks.  Returns the
+    amplitudes, one row per block, and the engine description.
+    """
+    spectrum = comb_spectrum(grid)
+    if not (spectrum.residual <= _SPECTRUM_TOL
+            and spectrum.orthogonality <= _SPECTRUM_TOL):
+        raise IntegrationError(
+            f"exact engine spectrum failed its check: eigen residual "
+            f"{spectrum.residual:.3e}, orthogonality error "
+            f"{spectrum.orthogonality:.3e} (limit {_SPECTRUM_TOL:.0e})"
+        )
+    weights = [spectrum.atom * (spectrum.atom * atom0 + 1j * (spectrum.photon @ photons0))
+               for atom0, photons0 in blocks]
+    out = np.empty((len(weights), len(times)), dtype=complex)
+    for lo in range(0, len(times), _EXACT_BLOCK):
+        phase = np.exp(-1j * np.outer(times[lo:lo + _EXACT_BLOCK], spectrum.eigenvalues))
+        for row, w in zip(out, weights):
+            row[lo:lo + len(phase)] = phase @ w
+    # The propagator is the identity at t = 0: sample the start itself, as
+    # integrate does, rather than V V^T applied to it.
+    out[:, times == 0.0] = np.array([[atom0] for atom0, _ in blocks])
+    if not np.all(np.isfinite(out)):
+        raise IntegrationError("nonfinite amplitudes from the exact engine")
+    return out, (f"exact (eigen residual {spectrum.residual:.1e}, "
+                 f"orthogonality error {spectrum.orthogonality:.1e})")
+
+
+def _check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+
+
 def run_single(
     grid: ModeGrid,
     state0: SingleExcState,
     t_max: float,
     dt: Optional[float] = None,
     sample_stride: int = 1,
+    engine: str = "rk4",
 ) -> Trajectory:
-    """Integrate a single-excitation state, recording the standard columns.
+    """Propagate a single-excitation state, recording the standard columns.
 
     Columns: c_ab (closed-form concurrence), the four populations, the norm
-    and the real/imaginary parts of the two atomic amplitudes.
+    and the real/imaginary parts of the two atomic amplitudes.  Both engines
+    sample the same times.  ``engine="exact"`` propagates each cavity block
+    to its atom amplitude; the photon populations follow from the block's
+    conserved norm.
     """
+    _check_engine(engine)
     if dt is None:
         dt = default_step(grid)
+
+    if engine == "exact":
+        times = sample_times(t_max, dt, sample_stride)
+        (c1, c2), description = _exact_atoms(
+            grid, [(state0.c1, state0.ca), (state0.c2, state0.cb)], times)
+        pop1 = np.abs(c1) ** 2
+        pop2 = np.abs(c2) ** 2
+        pop_a = abs(state0.c1) ** 2 + float(np.sum(np.abs(state0.ca) ** 2)) - pop1
+        pop_b = abs(state0.c2) ** 2 + float(np.sum(np.abs(state0.cb) ** 2)) - pop2
+        records = {
+            "c_ab": 2.0 * np.abs(c1) * np.abs(c2),
+            "pop1": pop1,
+            "pop2": pop2,
+            "pop_cav_a": pop_a,
+            "pop_cav_b": pop_b,
+            "norm": pop1 + pop2 + pop_a + pop_b,
+            "re_c1": c1.real,
+            "im_c1": c1.imag,
+            "re_c2": c2.real,
+            "im_c2": c2.imag,
+        }
+        return Trajectory(times=times, records=records, engine=description)
 
     def observe(t, y):
         st = SingleExcState.from_vector(y, grid.n)
@@ -276,14 +475,52 @@ def run_double(
     t_max: float,
     dt: Optional[float] = None,
     sample_stride: int = 1,
+    engine: str = "rk4",
 ) -> Trajectory:
-    """Integrate a double-excitation state, recording the standard columns.
+    """Propagate a double-excitation state, recording the standard columns.
 
     The default step is half the grid step: the two-photon sector oscillates
     at pair detunings up to twice the largest single-mode scale.
+
+    ``engine="exact"`` takes the state ``init_double`` builds,
+    d00|gg> + d11|ee> with no photons.  Each excited atom then keeps the
+    amplitude u of one atom in one comb, so with p = |u|^2 the populations
+    are p11 = |d11|^2 p^2, p2 = p3 = |d11|^2 p (1 - p), p4 = |d11|^2 (1 - p)^2.
+
+    Raises
+    ------
+    ValueError
+        Under ``engine="exact"``, if the state has photon amplitudes.
     """
+    _check_engine(engine)
     if dt is None:
         dt = 0.5 * default_step(grid)
+
+    if engine == "exact":
+        if np.any(state0.d2) or np.any(state0.d3) or np.any(state0.d4):
+            raise ValueError(
+                "engine='exact' propagates d00|gg> + d11|ee> states only; "
+                "this state has photon amplitudes"
+            )
+        times = sample_times(t_max, dt, sample_stride)
+        (u,), description = _exact_atoms(grid, [(1.0, np.zeros(grid.n))], times)
+        p = np.abs(u) ** 2
+        excited = abs(state0.d11) ** 2
+        one_photon = excited * p * (1.0 - p)
+        p11 = excited * p * p
+        p4 = excited * (1.0 - p) ** 2
+        p00 = np.full(len(times), abs(state0.d00) ** 2)
+        coherence = abs(state0.d11) * p * abs(state0.d00)
+        records = {
+            "c_ab": 2.0 * np.maximum(0.0, coherence - one_photon),
+            "p11": p11,
+            "p2": one_photon,
+            "p3": one_photon,
+            "p4": p4,
+            "p00": p00,
+            "norm": p00 + p11 + one_photon + one_photon + p4,
+        }
+        return Trajectory(times=times, records=records, engine=description)
 
     def observe(t, y):
         st = DoubleExcState.from_vector(y, grid.n)

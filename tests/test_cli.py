@@ -179,9 +179,97 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     assert "n_modes" in capsys.readouterr().err
     assert main(["single", "--theta", "3.0"]) == 2
     assert "theta" in capsys.readouterr().err
-    assert main(["single", "--modes", "1", "--dt", "5.0",
+    for dt in ("0", "nan", "1e-320"):
+        assert main(["single", "--modes", "1", "--dt", dt]) == 2
+        assert "dt" in capsys.readouterr().err
+    assert main(["single", "--modes", "1", "--dt", "5.0", "--engine", "rk4",
                  "--out", str(tmp_path / "y.csv")]) == 2
     assert "stability" in capsys.readouterr().err
+    # the exact engine has no step, so the same --dt only sets the sample grid
+    assert main(["single", "--modes", "1", "--dt", "5.0",
+                 "--out", str(tmp_path / "y.csv")]) == 0
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["single", "--modes", "3", "--tmax", "1e9", "--stride", "1"],
+     ["samples", "1000000", "--stride", "--dt", "--tmax"]),
+    (["single", "--modes", "3", "--tmax", "1e9", "--engine", "rk4"],
+     ["RK4 steps", "10000000", "--dt", "--tmax"]),
+])
+def test_work_limits_exit_2_before_writing(tmp_path, capsys, argv, named):
+    assert main(argv + ["--out", str(tmp_path / "big.csv")]) == 2
+    err = capsys.readouterr().err
+    for text in named:
+        assert text in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exact_engine_ignores_the_step_count_limit(tmp_path):
+    # 1e9 time units at the default ~2000 rows: too many RK4 steps, few samples
+    out = tmp_path / "long.csv"
+    assert main(["single", "--modes", "3", "--tmax", "1e9", "--out", str(out)]) == 0
+    _, cols = read_csv(out)
+    assert cols["t"][-1] == 1e9
+    assert np.max(np.abs(cols["norm"] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("extra", [
+    # the second point's step is above its RK4 stability limit
+    ["--engine", "rk4", "--axis", "omega_a", "--values", "4840,1e6", "--modes", "19",
+     "--tmax", "0.05", "--dt", "0.001"],
+    # the second point's default window needs more samples than the limit
+    ["--axis", "length_ratio", "--values", "670,1e9", "--modes", "3", "--stride", "1"],
+])
+def test_sweep_checks_work_limits_before_the_first_run(tmp_path, capsys, extra):
+    assert main(["sweep", *extra, "--out", str(tmp_path / "p.csv")]) == 2
+    assert "limit" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_engines_share_the_sample_grid(tmp_path, capsys):
+    args = ["single", "--modes", "19", "--profile", "uniform", "--tmax", "2.0"]
+    runs = {}
+    for engine in ("exact", "rk4"):
+        out = tmp_path / f"{engine}.csv"
+        assert main(args + ["--engine", engine, "--out", str(out)]) == 0
+        runs[engine] = out.read_text().splitlines()
+        assert f"engine: {engine} (" in capsys.readouterr().out
+    exact, rk4 = runs["exact"], runs["rk4"]
+    assert [line.split(",")[0] for line in exact] == [line.split(",")[0] for line in rk4]
+    _, cols_exact = read_csv(tmp_path / "exact.csv")
+    _, cols_rk4 = read_csv(tmp_path / "rk4.csv")
+    for name in cols_exact:
+        assert np.max(np.abs(cols_exact[name] - cols_rk4[name])) <= 1e-6
+
+
+def test_default_runs_call_no_numpy_linalg(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for command in ("single", "double"):
+        assert main([command, "--modes", "19", "--tmax", "2.0",
+                     "--out", str(tmp_path / f"{command}.csv")]) == 0
+
+
+def test_nan_spectrum_exits_3(tmp_path, monkeypatch, capsys):
+    import dataclasses
+    import djcsim.cli as cli
+
+    build = cli.build_mode_grid
+
+    def nan_grid(config):
+        grid = build(config)
+        couplings = grid.couplings.copy()
+        couplings[0] = math.nan
+        return dataclasses.replace(grid, couplings=couplings)
+
+    monkeypatch.setattr(cli, "build_mode_grid", nan_grid)
+    code = main(["single", "--modes", "3", "--tmax", "1.0", "--out", str(tmp_path / "n.csv")])
+    assert code == 3
+    assert "eigen residual nan" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_output_exits_2(capsys):

@@ -5,6 +5,9 @@ import pytest
 
 from djcsim import (
     IntegrationError,
+    concurrence_double_closed,
+    concurrence_single_closed,
+    observables_double,
     SystemConfig,
     build_mode_grid,
     default_step,
@@ -17,7 +20,7 @@ from djcsim import (
     stability_limit,
 )
 from djcsim.double import flat_derivative as double_derivative
-from djcsim.evolve import generator_double, generator_single
+from djcsim.evolve import comb_spectrum, generator_double, generator_single, sample_times
 from djcsim.single import SingleExcState, flat_derivative as single_derivative
 
 
@@ -227,3 +230,86 @@ def test_single_run_records_expected_columns():
         "c_ab", "pop1", "pop2", "pop_cav_a", "pop_cav_b", "norm",
         "re_c1", "im_c1", "re_c2", "im_c2",
     ]
+
+
+def random_single_state(n, rng):
+    vec = rng.normal(size=2 + 2 * n) + 1j * rng.normal(size=2 + 2 * n)
+    return SingleExcState.from_vector(vec / np.linalg.norm(vec), n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 19])
+@pytest.mark.parametrize("profile", ["uniform", "sqrtfreq"])
+def test_exact_single_matches_expm_oracle(n, profile):
+    grid = build_mode_grid(reference_config(n, 670.0, profile))
+    state = random_single_state(n, np.random.default_rng(n))
+    traj = run_single(grid, state, t_max=3.0, dt=0.35, engine="exact")
+    assert len(traj) == 10
+    rec = traj.records
+    for i, t in enumerate(traj.times):
+        ref = expm_oracle(state, grid, t)
+        assert abs(rec["re_c1"][i] + 1j * rec["im_c1"][i] - ref.c1) <= 1e-10
+        assert abs(rec["re_c2"][i] + 1j * rec["im_c2"][i] - ref.c2) <= 1e-10
+        assert abs(rec["pop_cav_a"][i] - np.sum(np.abs(ref.ca) ** 2)) <= 1e-10
+        assert abs(rec["pop_cav_b"][i] - np.sum(np.abs(ref.cb) ** 2)) <= 1e-10
+        assert abs(rec["c_ab"][i] - concurrence_single_closed(ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_exact_double_matches_expm_oracle(n):
+    grid = build_mode_grid(reference_config(n, 670.0, "sqrtfreq"))
+    state = init_double(1.1, grid)
+    traj = run_double(grid, state, t_max=3.0, dt=0.35, engine="exact")
+    for i, t in enumerate(traj.times):
+        ref = expm_oracle(state, grid, t)
+        expected = {"c_ab": concurrence_double_closed(ref), **observables_double(ref)}
+        for name, value in expected.items():
+            assert abs(traj.records[name][i] - value) <= 1e-10, name
+
+
+def test_exact_double_rejects_photon_amplitudes():
+    grid = build_mode_grid(reference_config(3, 670.0))
+    state = init_double(0.5, grid)
+    state.d4[1, 2] = 0.1
+    with pytest.raises(ValueError, match="photon amplitudes"):
+        run_double(grid, state, t_max=1.0, engine="exact")
+
+
+@pytest.mark.parametrize("n", [1, 19, 99, 499])
+def test_comb_spectrum_matches_eigvalsh(n):
+    grid = build_mode_grid(reference_config(n, 3480.0, "sqrtfreq"))
+    arrow = np.diag(np.concatenate(([0.0], grid.detunings)))
+    arrow[0, 1:] = arrow[1:, 0] = grid.couplings
+    spectrum = comb_spectrum(grid)
+    np.testing.assert_allclose(spectrum.eigenvalues, np.linalg.eigvalsh(arrow),
+                               rtol=0.0, atol=1e-10)
+    assert spectrum.residual <= 1e-12
+    assert spectrum.orthogonality <= 1e-12
+    vectors = np.vstack([spectrum.atom, spectrum.photon.T])
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(n + 1), rtol=0.0, atol=1e-12)
+
+
+def test_comb_spectrum_reports_a_nan_grid():
+    grid = build_mode_grid(reference_config(3, 670.0))
+    bad = type(grid)(grid.detunings, np.array([1.0, math.nan, 1.0]), grid.spacing)
+    assert math.isnan(comb_spectrum(bad).residual)
+    with pytest.raises(IntegrationError, match="eigen residual"):
+        run_single(bad, init_atoms_entangled(0.3, bad), 1.0, dt=0.1, engine="exact")
+
+
+@pytest.mark.parametrize("t_max,dt,stride", [
+    (0.95, 0.1, 3), (1.0, 0.1, 1), (1.0, 0.25, 10 ** 9), (0.0, 0.1, 1),
+    (22.5887, 0.00092227, 12), (3.0, 0.35, 2),
+])
+def test_sample_times_match_integrate(t_max, dt, stride):
+    traj = integrate(lambda y: 0 * y, np.array([1.0 + 0j]), t_max, dt, sample_stride=stride)
+    assert np.array_equal(sample_times(t_max, dt, stride), traj.times)
+
+
+def test_exact_engine_has_no_stability_limit():
+    grid = build_mode_grid(reference_config(19, 670.0))
+    state = init_atoms_entangled(math.pi / 4, grid)
+    dt = 10.0 * stability_limit(grid)
+    traj = run_single(grid, state, t_max=1.0, dt=dt, engine="exact")
+    assert np.array_equal(traj.times, sample_times(1.0, dt))
+    with pytest.raises(ValueError, match="engine"):
+        run_single(grid, state, t_max=1.0, engine="euler")
