@@ -14,10 +14,11 @@ Each run writes one CSV (headers mandatory, '.' decimal separator, LF line
 endings) and prints a summary to stdout.  Parameters can also be supplied
 as key=value lines in a file passed with --config; keys are the flag names
 with underscores, values are checked exactly like flags, and command-line
-flags win over file values.  Runs propagate with the exact single-comb
-engine unless --engine rk4 is given.  Exit codes: 0 success, 2 invalid
-parameters, paths or a run over the work limits, 3 numerical failure
-(nonfinite amplitudes, or an exact spectrum that fails its check).
+flags win over file values.  Double runs propagate with the exact
+single-comb engine, single runs with RK4 (see _plan).  Exit codes: 0
+success, 2 invalid parameters, paths or a run over the work limits, 3
+numerical failure (nonfinite amplitudes, or an exact spectrum that fails
+its check).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from .double import init_double
 from .evolve import (
-    ENGINES,
     IntegrationError,
     Trajectory,
     check_window,
@@ -60,8 +60,11 @@ _SWEEP_DESTS = {"theta": "theta", "n_modes": "modes", "length_ratio": "length_ra
 
 #: Most samples one run may record (rows of its CSV).
 MAX_SAMPLES = 10 ** 6
-#: Most steps one run may take under --engine rk4.
+#: Most steps one RK4 run may take.
 MAX_RK4_STEPS = 10 ** 7
+#: Most modes per cavity for the exact engine, whose spectrum takes
+#: O(n^2) memory (about 0.2 GiB at the limit).
+MAX_EXACT_MODES = 2001
 
 _PI_EXPR = re.compile(r"^\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$")
 
@@ -131,12 +134,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                           "cos/sin exchanged (default printed)")
 
 
-def _add_engine_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--engine", choices=ENGINES, default="exact",
-                     help="exact: the single-comb spectrum, --dt sets only the sample "
-                          "grid; rk4: fixed-step Runge-Kutta (default exact)")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="djcsim",
@@ -148,14 +145,12 @@ def _build_parser():
 
     single = commands.add_parser("single", help="single shared excitation")
     _add_common_flags(single)
-    _add_engine_flag(single)
     single.add_argument("--initial", choices=("atoms", "fields"), default="atoms",
                         help="where the initial entanglement sits (default atoms)")
     subs["single"] = single
 
     double = commands.add_parser("double", help="one excitation per cavity")
     _add_common_flags(double)
-    _add_engine_flag(double)
     subs["double"] = double
 
     kernel = commands.add_parser("kernel", help="memory kernel trace")
@@ -164,7 +159,6 @@ def _build_parser():
 
     sweep = commands.add_parser("sweep", help="runs along one parameter axis")
     _add_common_flags(sweep)
-    _add_engine_flag(sweep)
     sweep.add_argument("--initial", choices=("atoms", "fields", "double"),
                        default="atoms",
                        help="scenario swept: single with atoms/fields entangled, "
@@ -262,6 +256,15 @@ class _Run(NamedTuple):
 def _plan(args: argparse.Namespace, scenario: str) -> _Run:
     """Build and check one run, the work limits included, without running it."""
     config = _make_config(args)
+    # A double run's RK4 state holds the n x n two-photon sector, while the
+    # exact engine needs only one cavity's atom amplitude.  Single runs stay
+    # on RK4: the benchmark's traced-layer self-test (perfbench/selftest.py)
+    # expects a stepped single run, so switching them waits for the
+    # benchmark change that updates it.
+    rk4 = scenario != "double"
+    if not rk4 and config.n_modes > MAX_EXACT_MODES:
+        raise ValueError(f"{config.n_modes} modes exceed the exact engine's limit of "
+                         f"{MAX_EXACT_MODES}; lower --modes")
     grid = build_mode_grid(config)
     t_max = args.tmax if args.tmax is not None else _default_tmax(config)
     if not 0 < t_max < math.inf:
@@ -269,7 +272,6 @@ def _plan(args: argparse.Namespace, scenario: str) -> _Run:
     dt = args.dt
     if dt is None:
         dt = default_step(grid) * (0.5 if scenario == "double" else 1.0)
-    rk4 = args.engine == "rk4"
     check_window(t_max, dt, max_dt=stability_limit(grid) if rk4 else None)
     steps = step_count(t_max, dt)
     stride = args.stride
@@ -279,7 +281,7 @@ def _plan(args: argparse.Namespace, scenario: str) -> _Run:
         raise ValueError(f"stride must be >= 1, got {stride!r}")
     if rk4 and steps > MAX_RK4_STEPS:
         raise ValueError(f"{steps} RK4 steps exceed the limit of {MAX_RK4_STEPS}; "
-                         f"lower --tmax, raise --dt or use --engine exact")
+                         f"lower --tmax or raise --dt")
     samples = (steps - 1) // stride + 2
     if samples > MAX_SAMPLES:
         raise ValueError(f"{samples} samples exceed the limit of {MAX_SAMPLES}; "
@@ -292,14 +294,13 @@ def _run_trajectory(run: _Run) -> RevivalReport:
     if scenario == "double":
         state = init_double(config.theta, grid)
         traj = run_double(grid, state, run.t_max, dt=run.dt, sample_stride=run.stride,
-                          engine=args.engine)
+                          engine="exact")
     else:
         if scenario == "single-fields":
             state = init_fields_entangled(config.theta, grid)
         else:
             state = init_atoms_entangled(config.theta, grid)
-        traj = run_single(grid, state, run.t_max, dt=run.dt, sample_stride=run.stride,
-                          engine=args.engine)
+        traj = run_single(grid, state, run.t_max, dt=run.dt, sample_stride=run.stride)
     out_path = args.out or f"djcsim_{scenario}.csv"
     _write_csv(out_path, "t", traj.times, traj.records)
     report = detect_revivals(traj, predicted_period=retardation_time(config))

@@ -182,19 +182,22 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     for dt in ("0", "nan", "1e-320"):
         assert main(["single", "--modes", "1", "--dt", dt]) == 2
         assert "dt" in capsys.readouterr().err
-    assert main(["single", "--modes", "1", "--dt", "5.0", "--engine", "rk4",
+    assert main(["single", "--modes", "1", "--dt", "5.0",
                  "--out", str(tmp_path / "y.csv")]) == 2
     assert "stability" in capsys.readouterr().err
-    # the exact engine has no step, so the same --dt only sets the sample grid
-    assert main(["single", "--modes", "1", "--dt", "5.0",
+    # double runs use the exact engine, which has no step, so the same --dt
+    # only sets the sample grid
+    assert main(["double", "--modes", "1", "--dt", "5.0",
                  "--out", str(tmp_path / "y.csv")]) == 0
 
 
 @pytest.mark.parametrize("argv,named", [
-    (["single", "--modes", "3", "--tmax", "1e9", "--stride", "1"],
+    (["double", "--modes", "3", "--tmax", "1e9", "--stride", "1"],
      ["samples", "1000000", "--stride", "--dt", "--tmax"]),
-    (["single", "--modes", "3", "--tmax", "1e9", "--engine", "rk4"],
+    (["single", "--modes", "3", "--tmax", "1e9"],
      ["RK4 steps", "10000000", "--dt", "--tmax"]),
+    (["double", "--modes", "2003", "--length-ratio", "3480", "--tmax", "1.0"],
+     ["2003 modes", "exact engine", "2001", "--modes"]),
 ])
 def test_work_limits_exit_2_before_writing(tmp_path, capsys, argv, named):
     assert main(argv + ["--out", str(tmp_path / "big.csv")]) == 2
@@ -207,7 +210,7 @@ def test_work_limits_exit_2_before_writing(tmp_path, capsys, argv, named):
 def test_exact_engine_ignores_the_step_count_limit(tmp_path):
     # 1e9 time units at the default ~2000 rows: too many RK4 steps, few samples
     out = tmp_path / "long.csv"
-    assert main(["single", "--modes", "3", "--tmax", "1e9", "--out", str(out)]) == 0
+    assert main(["double", "--modes", "3", "--tmax", "1e9", "--out", str(out)]) == 0
     _, cols = read_csv(out)
     assert cols["t"][-1] == 1e9
     assert np.max(np.abs(cols["norm"] - 1.0)) <= 1e-12
@@ -215,10 +218,14 @@ def test_exact_engine_ignores_the_step_count_limit(tmp_path):
 
 @pytest.mark.parametrize("extra", [
     # the second point's step is above its RK4 stability limit
-    ["--engine", "rk4", "--axis", "omega_a", "--values", "4840,1e6", "--modes", "19",
+    ["--axis", "omega_a", "--values", "4840,1e6", "--modes", "19",
      "--tmax", "0.05", "--dt", "0.001"],
     # the second point's default window needs more samples than the limit
-    ["--axis", "length_ratio", "--values", "670,1e9", "--modes", "3", "--stride", "1"],
+    ["--initial", "double", "--axis", "length_ratio", "--values", "670,1e9", "--modes", "3",
+     "--stride", "1"],
+    # the second point has more modes than the exact engine takes
+    ["--initial", "double", "--axis", "n_modes", "--values", "3,2003", "--length-ratio", "3480",
+     "--tmax", "1.0"],
 ])
 def test_sweep_checks_work_limits_before_the_first_run(tmp_path, capsys, extra):
     assert main(["sweep", *extra, "--out", str(tmp_path / "p.csv")]) == 2
@@ -226,20 +233,12 @@ def test_sweep_checks_work_limits_before_the_first_run(tmp_path, capsys, extra):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_engines_share_the_sample_grid(tmp_path, capsys):
-    args = ["single", "--modes", "19", "--profile", "uniform", "--tmax", "2.0"]
-    runs = {}
-    for engine in ("exact", "rk4"):
-        out = tmp_path / f"{engine}.csv"
-        assert main(args + ["--engine", engine, "--out", str(out)]) == 0
-        runs[engine] = out.read_text().splitlines()
-        assert f"engine: {engine} (" in capsys.readouterr().out
-    exact, rk4 = runs["exact"], runs["rk4"]
-    assert [line.split(",")[0] for line in exact] == [line.split(",")[0] for line in rk4]
-    _, cols_exact = read_csv(tmp_path / "exact.csv")
-    _, cols_rk4 = read_csv(tmp_path / "rk4.csv")
-    for name in cols_exact:
-        assert np.max(np.abs(cols_exact[name] - cols_rk4[name])) <= 1e-6
+@pytest.mark.parametrize("command,engine", [("single", "rk4"), ("double", "exact")])
+def test_summary_names_the_engine(tmp_path, capsys, command, engine):
+    out = tmp_path / "run.csv"
+    assert main([command, "--modes", "3", "--tmax", "1.0", "--out", str(out)]) == 0
+    assert f"\nengine: {engine} (" in capsys.readouterr().out
+    assert "engine" not in out.read_text()
 
 
 def test_default_runs_call_no_numpy_linalg(tmp_path, monkeypatch):
@@ -266,7 +265,7 @@ def test_nan_spectrum_exits_3(tmp_path, monkeypatch, capsys):
         return dataclasses.replace(grid, couplings=couplings)
 
     monkeypatch.setattr(cli, "build_mode_grid", nan_grid)
-    code = main(["single", "--modes", "3", "--tmax", "1.0", "--out", str(tmp_path / "n.csv")])
+    code = main(["double", "--modes", "3", "--tmax", "1.0", "--out", str(tmp_path / "n.csv")])
     assert code == 3
     assert "eigen residual nan" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

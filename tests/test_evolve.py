@@ -305,6 +305,18 @@ def test_sample_times_match_integrate(t_max, dt, stride):
     assert np.array_equal(sample_times(t_max, dt, stride), traj.times)
 
 
+def test_engines_agree_on_the_sample_grid():
+    grid = build_mode_grid(reference_config(19, 670.0, "uniform"))
+    for run, state in ((run_single, init_atoms_entangled(0.7, grid)),
+                       (run_double, init_double(0.7, grid))):
+        exact = run(grid, state, t_max=2.0, sample_stride=7, engine="exact")
+        rk4 = run(grid, state, t_max=2.0, sample_stride=7)
+        assert np.array_equal(exact.times, rk4.times)
+        assert list(exact.records) == list(rk4.records)
+        for name in exact.records:
+            assert np.max(np.abs(exact.records[name] - rk4.records[name])) <= 1e-6, name
+
+
 def test_exact_engine_has_no_stability_limit():
     grid = build_mode_grid(reference_config(19, 670.0))
     state = init_atoms_entangled(math.pi / 4, grid)
