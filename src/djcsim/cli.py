@@ -32,7 +32,6 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .double import init_double
 from .evolve import (
     IntegrationError,
     Trajectory,
@@ -256,9 +255,8 @@ class _Run(NamedTuple):
 def _plan(args: argparse.Namespace, scenario: str) -> _Run:
     """Build and check one run, the work limits included, without running it."""
     config = _make_config(args)
-    # A double run's RK4 state holds the n x n two-photon sector, while the
-    # exact engine needs only one cavity's atom amplitude.  Single runs stay
-    # on RK4: the benchmark's traced-layer self-test (perfbench/selftest.py)
+    # run_double is the exact engine alone.  Single runs stay on RK4: the
+    # benchmark's traced-layer self-test (perfbench/selftest.py)
     # expects a stepped single run, so switching them waits for the
     # benchmark change that updates it.
     rk4 = scenario != "double"
@@ -292,9 +290,7 @@ def _plan(args: argparse.Namespace, scenario: str) -> _Run:
 def _run_trajectory(run: _Run) -> RevivalReport:
     args, scenario, config, grid = run.args, run.scenario, run.config, run.grid
     if scenario == "double":
-        state = init_double(config.theta, grid)
-        traj = run_double(grid, state, run.t_max, dt=run.dt, sample_stride=run.stride,
-                          engine="exact")
+        traj = run_double(grid, config.theta, run.t_max, dt=run.dt, sample_stride=run.stride)
     else:
         if scenario == "single-fields":
             state = init_fields_entangled(config.theta, grid)
@@ -316,13 +312,15 @@ def _run_kernel(args: argparse.Namespace) -> int:
     grid = build_mode_grid(config)
     t_r = retardation_time(config)
     tau_max = args.tmax if args.tmax is not None else 3.0 * t_r
-    if tau_max <= 0:
-        raise ValueError(f"tmax must be positive, got {tau_max!r}")
+    if not 0 < tau_max < math.inf:
+        raise ValueError(f"tmax must be positive and finite, got {tau_max!r}")
     dtau = args.dt if args.dt is not None else t_r / 400.0
-    if dtau <= 0:
-        raise ValueError(f"dt must be positive, got {dtau!r}")
+    check_window(tau_max, dtau)
     count = int(math.floor(tau_max / dtau + 1e-9)) + 1
-    taus = np.array([i * dtau for i in range(count)])
+    if count > MAX_SAMPLES:
+        raise ValueError(f"{count} samples exceed the limit of {MAX_SAMPLES}; "
+                         f"raise --dt or lower --tmax")
+    taus = np.arange(count) * dtau
     values = memory_kernel(grid, taus)
     records = {
         "re_k": values.real,

@@ -30,7 +30,7 @@ class SystemConfig:
         Atomic transition frequency (units of the central-mode vacuum Rabi
         frequency).
     length_ratio : float
-        Cavity length over atomic wavelength, L / lambda_a.
+        Cavity length over atomic wavelength, L / lambda_a, at least 1.
     n_modes : int
         Number of field modes per cavity, of any integral type.  Must be odd
         so the grid is symmetric about the atomic resonance.
@@ -54,10 +54,12 @@ class SystemConfig:
             raise ValueError(
                 f"n_modes must be a positive odd integer, got {self.n_modes!r}"
             )
-        for name in ("omega_a", "length_ratio"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 0.0 < self.omega_a < math.inf:
+            raise ValueError(f"omega_a must be positive and finite, got {self.omega_a!r}")
+        # the cavity must hold one atomic wavelength for the resonant mode to exist
+        if not 1.0 <= self.length_ratio < math.inf:
+            raise ValueError(
+                f"length_ratio must be finite and at least 1, got {self.length_ratio!r}")
         check_theta(self.theta)
         if self.coupling_profile not in COUPLING_PROFILES:
             raise ValueError(

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .evolve import Trajectory
+from .evolve import TIME_BLOCK, Trajectory
 from .model import ModeGrid, SystemConfig, retardation_time
 
 
@@ -53,10 +53,17 @@ class RevivalReport:
 def memory_kernel(
     grid: ModeGrid, tau: Union[float, np.ndarray]
 ) -> Union[complex, np.ndarray]:
-    """Mode-summed coupling correlation K(tau); accepts scalar or array tau."""
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
+    """Mode-summed coupling correlation K(tau); accepts scalar or array tau.
+
+    The (modes x taus) phases are formed for at most ``TIME_BLOCK`` taus
+    at once.
+    """
+    tau_arr = np.asarray(tau, dtype=float).ravel()
     weights = grid.couplings ** 2
-    k = weights @ np.exp(-1j * np.outer(grid.detunings, tau_arr))
+    k = np.empty(len(tau_arr), dtype=complex)
+    for lo in range(0, len(tau_arr), TIME_BLOCK):
+        block = tau_arr[lo:lo + TIME_BLOCK]
+        k[lo:lo + len(block)] = weights @ np.exp(-1j * np.outer(grid.detunings, block))
     if np.isscalar(tau) or np.asarray(tau).ndim == 0:
         return complex(k[0])
     return k

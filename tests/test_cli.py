@@ -102,6 +102,7 @@ def test_kernel_csv_maxima_at_round_trips(tmp_path):
     mag = cols["abs_k"]
     taus = cols["tau"]
     assert mag[0] == pytest.approx(19.0)
+    assert taus.tolist() == [i * taus[1] for i in range(len(taus))]
     big = mag >= 0.5 * mag[0]
     # rephasing maxima at 0, t_r, 2 t_r and the boundary sample at 3 t_r
     clusters = taus[big]
@@ -198,6 +199,13 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
      ["RK4 steps", "10000000", "--dt", "--tmax"]),
     (["double", "--modes", "2003", "--length-ratio", "3480", "--tmax", "1.0"],
      ["2003 modes", "exact engine", "2001", "--modes"]),
+    (["kernel", "--tmax", "1e300"], ["samples", "1000000", "--dt", "--tmax"]),
+    (["kernel", "--modes", "19", "--tmax", "inf"], ["tmax"]),
+    (["kernel", "--dt", "inf"], ["dt"]),
+    (["kernel", "--dt", "nan"], ["dt"]),
+    (["kernel", "--tmax", "1e300", "--dt", "1e-10"], ["overflows", "dt"]),
+    # a cavity shorter than one atomic wavelength has no resonant mode
+    (["single", "--modes", "1", "--length-ratio", "1e-320"], ["length_ratio"]),
 ])
 def test_work_limits_exit_2_before_writing(tmp_path, capsys, argv, named):
     assert main(argv + ["--out", str(tmp_path / "big.csv")]) == 2
@@ -331,6 +339,20 @@ def test_config_file_values_are_checked_like_flags(tmp_path, capsys, command, ke
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+# perfbench/worker.py (Tracer.install) patches these names to time each
+# layer.  The default test run does not collect perfbench/selftest.py, so
+# this is what notices a rename or a removal.
+@pytest.mark.parametrize("module,name", [
+    ("cli", "build_mode_grid"), ("cli", "run_single"), ("cli", "run_double"),
+    ("cli", "detect_revivals"), ("evolve", "integrate"),
+    ("evolve", "concurrence_single_closed"), ("evolve", "concurrence_double_closed"),
+    ("evolve", "observables_single"), ("evolve", "observables_double"),
+])
+def test_names_the_benchmark_tracer_patches_resolve(module, name):
+    import importlib
+    assert callable(getattr(importlib.import_module(f"djcsim.{module}"), name))
 
 
 def test_import_loads_no_scipy():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from djcsim import (
+    DoubleExcState,
     IntegrationError,
     concurrence_double_closed,
     concurrence_single_closed,
@@ -71,8 +72,7 @@ def test_resonant_trajectory_matches_analytic_amplitudes():
 
 def test_zero_derivative_state_stays_constant():
     grid = build_mode_grid(reference_config(3, 670.0))
-    state = init_double(0.0, grid)
-    traj = run_double(grid, state, t_max=2.0, dt=1e-2)
+    traj = run_double(grid, 0.0, t_max=2.0, dt=1e-2)
     np.testing.assert_allclose(traj.records["p00"], 1.0, atol=0.0)
     np.testing.assert_allclose(traj.records["c_ab"], 0.0, atol=0.0)
 
@@ -216,8 +216,7 @@ def test_trajectory_of_length_zero_window():
 
 def test_double_run_records_expected_columns():
     grid = build_mode_grid(reference_config(3, 670.0))
-    traj = run_double(grid, init_double(math.pi / 6, grid), t_max=0.5, dt=1e-3,
-                      sample_stride=50)
+    traj = run_double(grid, math.pi / 6, t_max=0.5, dt=1e-3, sample_stride=50)
     assert list(traj.records) == ["c_ab", "p11", "p2", "p3", "p4", "p00", "norm"]
     assert traj.records["p00"][0] == pytest.approx(0.75)
 
@@ -258,20 +257,12 @@ def test_exact_single_matches_expm_oracle(n, profile):
 def test_exact_double_matches_expm_oracle(n):
     grid = build_mode_grid(reference_config(n, 670.0, "sqrtfreq"))
     state = init_double(1.1, grid)
-    traj = run_double(grid, state, t_max=3.0, dt=0.35, engine="exact")
+    traj = run_double(grid, 1.1, t_max=3.0, dt=0.35)
     for i, t in enumerate(traj.times):
         ref = expm_oracle(state, grid, t)
         expected = {"c_ab": concurrence_double_closed(ref), **observables_double(ref)}
         for name, value in expected.items():
             assert abs(traj.records[name][i] - value) <= 1e-10, name
-
-
-def test_exact_double_rejects_photon_amplitudes():
-    grid = build_mode_grid(reference_config(3, 670.0))
-    state = init_double(0.5, grid)
-    state.d4[1, 2] = 0.1
-    with pytest.raises(ValueError, match="photon amplitudes"):
-        run_double(grid, state, t_max=1.0, engine="exact")
 
 
 @pytest.mark.parametrize("n", [1, 19, 99, 499])
@@ -307,10 +298,19 @@ def test_sample_times_match_integrate(t_max, dt, stride):
 
 def test_engines_agree_on_the_sample_grid():
     grid = build_mode_grid(reference_config(19, 670.0, "uniform"))
-    for run, state in ((run_single, init_atoms_entangled(0.7, grid)),
-                       (run_double, init_double(0.7, grid))):
-        exact = run(grid, state, t_max=2.0, sample_stride=7, engine="exact")
-        rk4 = run(grid, state, t_max=2.0, sample_stride=7)
+    state = init_atoms_entangled(0.7, grid)
+    exact_single = run_single(grid, state, t_max=2.0, sample_stride=7, engine="exact")
+    rk4_single = run_single(grid, state, t_max=2.0, sample_stride=7)
+
+    def observe_double(t, y):
+        st = DoubleExcState.from_vector(y, grid.n)
+        return {"c_ab": concurrence_double_closed(st), **observables_double(st)}
+
+    exact_double = run_double(grid, 0.7, t_max=2.0, sample_stride=7)
+    rk4_double = integrate(double_derivative(grid), init_double(0.7, grid).to_vector(),
+                           2.0, 0.5 * default_step(grid), sample_stride=7,
+                           observe=observe_double, max_dt=stability_limit(grid))
+    for exact, rk4 in ((exact_single, rk4_single), (exact_double, rk4_double)):
         assert np.array_equal(exact.times, rk4.times)
         assert list(exact.records) == list(rk4.records)
         for name in exact.records:

@@ -101,6 +101,9 @@ def test_rejects_modes_below_zero_frequency():
         (dict(omega_a=10.0, length_ratio=math.inf), "length_ratio"),
         (dict(omega_a=10.0, length_ratio=math.nan), "length_ratio"),
         (dict(omega_a=10.0, length_ratio=5.0, theta=math.nan), "theta"),
+        (dict(omega_a=10.0, length_ratio=0.5), "length_ratio"),
+        (dict(omega_a=10.0, length_ratio=1e-300), "length_ratio"),
+        (dict(omega_a=10.0, length_ratio=1e-320), "length_ratio"),
     ],
 )
 def test_rejects_invalid_fields(kwargs, field):

@@ -14,6 +14,7 @@ from djcsim import (
     predict_revival_times,
     retardation_time,
 )
+from djcsim.evolve import TIME_BLOCK
 
 
 def uniform_grid(n, length_ratio=670.0, omega_a=4840.0):
@@ -70,6 +71,23 @@ def test_kernel_scalar_and_array_forms_agree():
     array_values = memory_kernel(grid, taus)
     for tau, expected in zip(taus, array_values):
         assert memory_kernel(grid, float(tau)) == pytest.approx(expected)
+
+
+def test_kernel_phases_are_formed_in_blocks(monkeypatch):
+    grid = uniform_grid(19)
+    taus = np.linspace(0.0, 10.0, 300)
+    exp = np.exp
+    reference = (grid.couplings ** 2) @ exp(-1j * np.outer(grid.detunings, taus))
+    shapes = []
+
+    def spy(x):
+        shapes.append(x.shape)
+        return exp(x)
+
+    monkeypatch.setattr(np, "exp", spy)
+    values = memory_kernel(grid, taus)
+    assert [cols for _, cols in shapes] == [TIME_BLOCK, TIME_BLOCK, 300 - 2 * TIME_BLOCK]
+    assert np.max(np.abs(values - reference)) <= 1e-12
 
 
 @pytest.mark.parametrize(

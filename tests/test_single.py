@@ -11,6 +11,7 @@ from djcsim import (
     init_double,
     init_fields_entangled,
     observables_single,
+    run_double,
 )
 from djcsim.single import SingleExcState, flat_derivative
 
@@ -86,6 +87,8 @@ def test_init_rejects_theta_out_of_range(grid1):
         init_fields_entangled(2.0, grid1)
     with pytest.raises(ValueError, match="theta"):
         init_double(2.0, grid1)
+    with pytest.raises(ValueError, match="theta"):
+        run_double(grid1, 2.0, 1.0)
 
 
 def test_deriv_at_initial_atom_state(grid1):
