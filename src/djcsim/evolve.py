@@ -32,8 +32,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import single as _single
-# concurrence_double_closed and observables_double are unused here but stay
-# importable from this module: the benchmark's tracer patches them by name.
+# The concurrence_*_closed and observables_* functions are unused here but
+# stay importable from this module: the benchmark's tracer patches them by
+# name.  run_single's observe takes the same scalar arithmetic inline.
 from .concurrence import concurrence_double_closed, concurrence_single_closed
 from .double import DoubleExcState, observables_double
 from .model import ModeGrid, check_theta
@@ -151,7 +152,8 @@ def integrate(
     ----------
     deriv : callable
         Maps a flat complex vector to its time derivative (linear,
-        time-independent).
+        time-independent).  It must return a fresh array on every call:
+        the stage sums are accumulated in place in the returned arrays.
     state0 : ndarray
         Initial packed vector.
     t_max, dt : float
@@ -193,11 +195,19 @@ def integrate(
     sample(0.0, y)
     for i in range(n_steps):
         h = dt if i + 1 < n_steps else t_max - (n_steps - 1) * dt
+        half = 0.5 * h
         k1 = deriv(y)
-        k2 = deriv(y + (0.5 * h) * k1)
-        k3 = deriv(y + (0.5 * h) * k2)
+        k2 = deriv(y + half * k1)
+        k3 = deriv(y + half * k2)
         k4 = deriv(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # k1 + 2 k2 + 2 k3 + k4, summed left to right in place
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= h / 6.0
+        y = y + k2
         if (i + 1) % sample_stride == 0 or i + 1 == n_steps:
             sample(t_max if i + 1 == n_steps else (i + 1) * dt, y)
 
@@ -378,8 +388,9 @@ def _exact_atoms(grid: ModeGrid, blocks, times: np.ndarray):
     Each amplitude is u(t) = sum_j exp(-i lam_j t) w_j, the atom row of
     D V exp(-i Lambda t) V^T D^H applied to the start, where D^H gives the
     photons the factor i.  The phases are formed for at most
-    ``TIME_BLOCK`` times at once and shared by the blocks.  Returns the
-    amplitudes, one row per block, and the engine description.
+    ``TIME_BLOCK`` times at once and shared by the blocks, and summed with
+    einsum: a BLAS matvec of this size is slower under threaded BLAS.
+    Returns the amplitudes, one row per block, and the engine description.
     """
     spectrum = comb_spectrum(grid)
     if not (spectrum.residual <= _SPECTRUM_TOL
@@ -395,7 +406,7 @@ def _exact_atoms(grid: ModeGrid, blocks, times: np.ndarray):
     for lo in range(0, len(times), TIME_BLOCK):
         phase = np.exp(-1j * np.outer(times[lo:lo + TIME_BLOCK], spectrum.eigenvalues))
         for row, w in zip(out, weights):
-            row[lo:lo + len(phase)] = phase @ w
+            row[lo:lo + len(phase)] = np.einsum("ij,j->i", phase, w)
     # The propagator is the identity at t = 0: sample the start itself, as
     # integrate does, rather than V V^T applied to it.
     out[:, times == 0.0] = np.array([[atom0] for atom0, _ in blocks])
@@ -408,6 +419,22 @@ def _exact_atoms(grid: ModeGrid, blocks, times: np.ndarray):
 def _check_engine(engine: str) -> None:
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+
+
+def _single_columns(c1, c2, c_ab, pop1, pop2, pop_cav_a, pop_cav_b) -> dict:
+    """The standard single-run columns, in CSV order, from sampled arrays."""
+    return {
+        "c_ab": c_ab,
+        "pop1": pop1,
+        "pop2": pop2,
+        "pop_cav_a": pop_cav_a,
+        "pop_cav_b": pop_cav_b,
+        "norm": pop1 + pop2 + pop_cav_a + pop_cav_b,
+        "re_c1": c1.real,
+        "im_c1": c1.imag,
+        "re_c2": c2.real,
+        "im_c2": c2.imag,
+    }
 
 
 def run_single(
@@ -436,33 +463,25 @@ def run_single(
             grid, [(state0.c1, state0.ca), (state0.c2, state0.cb)], times)
         pop1 = np.abs(c1) ** 2
         pop2 = np.abs(c2) ** 2
-        pop_a = abs(state0.c1) ** 2 + float(np.sum(np.abs(state0.ca) ** 2)) - pop1
-        pop_b = abs(state0.c2) ** 2 + float(np.sum(np.abs(state0.cb) ** 2)) - pop2
-        records = {
-            "c_ab": 2.0 * np.abs(c1) * np.abs(c2),
-            "pop1": pop1,
-            "pop2": pop2,
-            "pop_cav_a": pop_a,
-            "pop_cav_b": pop_b,
-            "norm": pop1 + pop2 + pop_a + pop_b,
-            "re_c1": c1.real,
-            "im_c1": c1.imag,
-            "re_c2": c2.real,
-            "im_c2": c2.imag,
-        }
-        return Trajectory(times=times, records=records, engine=description)
+        columns = _single_columns(
+            c1, c2, 2.0 * np.abs(c1) * np.abs(c2), pop1, pop2,
+            abs(state0.c1) ** 2 + float(np.sum(np.abs(state0.ca) ** 2)) - pop1,
+            abs(state0.c2) ** 2 + float(np.sum(np.abs(state0.cb) ** 2)) - pop2)
+        return Trajectory(times=times, records=columns, engine=description)
+
+    n = grid.n
 
     def observe(t, y):
-        st = SingleExcState.from_vector(y, grid.n)
-        rec = {"c_ab": concurrence_single_closed(st)}
-        rec.update(observables_single(st))
-        rec["re_c1"] = float(st.c1.real)
-        rec["im_c1"] = float(st.c1.imag)
-        rec["re_c2"] = float(st.c2.real)
-        rec["im_c2"] = float(st.c2.imag)
-        return rec
+        # Scalar abs and ** 2, as concurrence_single_closed and
+        # observables_single take them: numpy's array forms differ in the
+        # last bit.
+        c1, c2 = y[0], y[1]
+        pop_a, pop_b = np.sum(np.abs(y[2:].reshape(2, n)) ** 2, axis=1)
+        return {"c1": c1, "c2": c2, "c_ab": 2.0 * abs(c1) * abs(c2),
+                "pop1": abs(c1) ** 2, "pop2": abs(c2) ** 2,
+                "pop_cav_a": pop_a, "pop_cav_b": pop_b}
 
-    return integrate(
+    traj = integrate(
         _single.flat_derivative(grid),
         state0.to_vector(),
         t_max,
@@ -471,6 +490,8 @@ def run_single(
         observe=observe,
         max_dt=stability_limit(grid),
     )
+    return Trajectory(times=traj.times, records=_single_columns(**traj.records),
+                      engine=traj.engine)
 
 
 def run_double(

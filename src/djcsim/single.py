@@ -88,17 +88,16 @@ def init_fields_entangled(theta: float, grid: ModeGrid) -> SingleExcState:
 def flat_derivative(grid: ModeGrid) -> Callable[[np.ndarray], np.ndarray]:
     """Right-hand side of the amplitude equations over packed vectors."""
     n = grid.n
-    delta = grid.detunings
-    g = grid.couplings
+    g = grid.couplings.astype(complex)
+    # -i delta on the photons, 0 on the atoms, whose entries are overwritten
+    rotation = np.concatenate(([0j, 0j], -1j * grid.detunings, -1j * grid.detunings))
 
     def deriv(y: np.ndarray) -> np.ndarray:
-        ca = y[2:2 + n]
-        cb = y[2 + n:]
-        out = np.empty_like(y)
-        out[0] = g @ ca
-        out[1] = g @ cb
-        out[2:2 + n] = -1j * delta * ca - g * y[0]
-        out[2 + n:] = -1j * delta * cb - g * y[1]
+        out = rotation * y
+        out[0] = g @ y[2:2 + n]
+        out[1] = g @ y[2 + n:]
+        photons = out[2:].reshape(2, n)
+        photons -= np.multiply.outer(y[:2], g)
         return out
 
     return deriv

@@ -110,6 +110,76 @@ def test_kernel_csv_maxima_at_round_trips(tmp_path):
         assert np.min(np.abs(clusters - m * t_r)) <= taus[1] + 1e-12
 
 
+def test_kernel_run_evaluates_the_kernel_once(tmp_path, monkeypatch, capsys):
+    import djcsim.cli as cli
+    import djcsim.revivals as revivals
+
+    calls = []
+    kernel = revivals.memory_kernel
+
+    def counted(grid, tau):
+        calls.append(len(tau))
+        return kernel(grid, tau)
+
+    monkeypatch.setattr(cli, "memory_kernel", counted)
+    monkeypatch.setattr(revivals, "memory_kernel", counted)
+    assert main(["kernel", "--modes", "19", "--profile", "uniform",
+                 "--out", str(tmp_path / "kernel.csv")]) == 0
+    assert calls == [1201]
+    assert "first rephasing maximum of |K| at tau=0.869780" in capsys.readouterr().out
+
+
+def test_csv_rows_are_the_repr_of_each_value(tmp_path):
+    import djcsim.cli as cli
+
+    rows = 2500  # more than two blocks
+    times = np.arange(rows) * 0.1
+    special = np.array([-0.0, 1e-300, math.inf, -math.inf, math.nan, 0.1 + 0.2])
+    records = {
+        "x": np.resize(special, rows),
+        "y": np.sin(times) * 1e-17,
+        "k": np.arange(rows) - 7,  # an integer column is written as floats
+    }
+    out = tmp_path / "rows.csv"
+    cli._write_csv(str(out), "t", times, records)
+    expected = "t,x,y,k\n" + "".join(
+        ",".join(repr(float(v)) for v in (times[i], *(c[i] for c in records.values())))
+        + "\n" for i in range(rows))
+    assert out.read_bytes() == expected.encode("ascii")
+
+
+def test_single_run_keeps_the_traced_rk4_layers(tmp_path, monkeypatch):
+    # perfbench/worker.py (Tracer) times a default `single` run as calls to
+    # evolve.integrate with a derivative from djcsim.single, four per step,
+    # and one observe call per CSV row.
+    import djcsim.evolve as evolve
+
+    seen = {"deriv": 0, "observe": 0}
+    integrate = evolve.integrate
+
+    def traced(deriv, state0, t_max, dt, *args, observe=None, **kwargs):
+        seen["module"] = deriv.__module__
+        seen["steps"] = evolve.step_count(t_max, dt)
+
+        def counted_deriv(y):
+            seen["deriv"] += 1
+            return deriv(y)
+
+        def counted_observe(t, y):
+            seen["observe"] += 1
+            return observe(t, y)
+
+        return integrate(counted_deriv, state0, t_max, dt, *args,
+                         observe=counted_observe, **kwargs)
+
+    monkeypatch.setattr(evolve, "integrate", traced)
+    out = tmp_path / "run.csv"
+    assert main(["single", "--modes", "19", "--tmax", "2.0", "--out", str(out)]) == 0
+    assert seen["module"] == "djcsim.single"
+    assert seen["deriv"] == 4 * seen["steps"] > 0
+    assert seen["observe"] == len(out.read_text().splitlines()) - 1
+
+
 def test_sweep_theta_initial_concurrences(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--axis", "theta", "--values", "pi/4,pi/6,pi/12",
@@ -206,12 +276,16 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     (["kernel", "--tmax", "1e300", "--dt", "1e-10"], ["overflows", "dt"]),
     # a cavity shorter than one atomic wavelength has no resonant mode
     (["single", "--modes", "1", "--length-ratio", "1e-320"], ["length_ratio"]),
+    # counts of about 1e302 are printed in %.3g form
+    (["double", "--modes", "3", "--tmax", "1e300", "--stride", "1"], ["e+302 samples"]),
+    (["single", "--modes", "3", "--tmax", "1e300"], ["e+302 RK4 steps"]),
 ])
 def test_work_limits_exit_2_before_writing(tmp_path, capsys, argv, named):
     assert main(argv + ["--out", str(tmp_path / "big.csv")]) == 2
     err = capsys.readouterr().err
     for text in named:
         assert text in err
+    assert len(err) < 200
     assert list(tmp_path.iterdir()) == []
 
 

@@ -9,12 +9,14 @@ from djcsim import (
     concurrence_double_closed,
     concurrence_single_closed,
     observables_double,
+    observables_single,
     SystemConfig,
     build_mode_grid,
     default_step,
     expm_oracle,
     init_atoms_entangled,
     init_double,
+    init_fields_entangled,
     integrate,
     run_double,
     run_single,
@@ -192,17 +194,80 @@ def test_linearity_in_the_initial_state():
 def test_generators_match_derivatives():
     # the dense oracle generators are assembled independently; they must
     # agree with the vectorized right-hand sides on random vectors
-    grid = build_mode_grid(reference_config(3, 670.0, profile="sqrtfreq"))
     rng = np.random.default_rng(31)
-    m_single = generator_single(grid)
-    m_double = generator_double(grid)
-    d_single = single_derivative(grid)
-    d_double = double_derivative(grid)
-    for _ in range(5):
-        v = rng.normal(size=8) + 1j * rng.normal(size=8)
-        np.testing.assert_allclose(m_single @ v, d_single(v), atol=1e-13)
-        w = rng.normal(size=17) + 1j * rng.normal(size=17)
-        np.testing.assert_allclose(m_double @ w, d_double(w), atol=1e-13)
+    for n, length_ratio in ((1, 670.0), (3, 670.0), (19, 670.0), (99, 3480.0)):
+        for profile in ("uniform", "sqrtfreq"):
+            grid = build_mode_grid(reference_config(n, length_ratio, profile=profile))
+            m_single = generator_single(grid)
+            d_single = single_derivative(grid)
+            # the dense double generator has (n^2 + 2n + 2)^2 entries
+            double = n <= 3
+            if double:
+                m_double = generator_double(grid)
+                d_double = double_derivative(grid)
+            for _ in range(5):
+                v = rng.normal(size=2 + 2 * n) + 1j * rng.normal(size=2 + 2 * n)
+                np.testing.assert_allclose(m_single @ v, d_single(v), rtol=0, atol=1e-13)
+                if double:
+                    dim = 2 + 2 * n + n * n
+                    w = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                    np.testing.assert_allclose(m_double @ w, d_double(w), rtol=0,
+                                               atol=1e-13)
+
+
+def textbook_rk4(deriv, y, t_max, dt, stride):
+    """The classic RK4 loop, stage sum written out, sampled like integrate."""
+    y = np.array(y, dtype=complex)
+    n_steps = math.ceil(t_max / dt - 1e-12)
+    samples = [y]
+    for i in range(n_steps):
+        h = dt if i + 1 < n_steps else t_max - (n_steps - 1) * dt
+        k1 = deriv(y)
+        k2 = deriv(y + (0.5 * h) * k1)
+        k3 = deriv(y + (0.5 * h) * k2)
+        k4 = deriv(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (i + 1) % stride == 0 or i + 1 == n_steps:
+            samples.append(y)
+    return np.array(samples)
+
+
+@pytest.mark.parametrize("kind,n", [("single", 1), ("single", 19), ("double", 3)])
+def test_integrate_is_textbook_rk4_bit_for_bit(kind, n):
+    grid = build_mode_grid(reference_config(n, 670.0, profile="sqrtfreq"))
+    make = single_derivative if kind == "single" else double_derivative
+    dim = 2 + 2 * n + (n * n if kind == "double" else 0)
+    rng = np.random.default_rng(n)
+    y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    dt = default_step(grid)
+    t_max = 200.37 * dt  # the last step is shortened
+    traj = integrate(make(grid), y0, t_max, dt, sample_stride=7,
+                     observe=lambda t, y: {"vec": y.copy()})
+    expected = textbook_rk4(make(grid), y0, t_max, dt, 7)
+    assert traj.records["vec"].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n,length_ratio", [(1, 670.0), (19, 670.0), (99, 3480.0)])
+@pytest.mark.parametrize("start", ["atoms", "fields"])
+def test_rk4_columns_are_the_closed_forms_bit_for_bit(n, length_ratio, start):
+    grid = build_mode_grid(reference_config(n, length_ratio, profile="sqrtfreq"))
+    init = init_atoms_entangled if start == "atoms" else init_fields_entangled
+    state = init(0.6, grid)
+    dt = default_step(grid)
+    t_max = 150.5 * dt
+    traj = run_single(grid, state, t_max, dt=dt, sample_stride=3)
+    vectors = integrate(single_derivative(grid), state.to_vector(), t_max, dt,
+                        sample_stride=3, observe=lambda t, y: {"vec": y.copy()})
+    states = [SingleExcState.from_vector(v, n) for v in vectors.records["vec"]]
+    expected = {"c_ab": [concurrence_single_closed(st) for st in states]}
+    for key in ("pop1", "pop2", "pop_cav_a", "pop_cav_b", "norm"):
+        expected[key] = [observables_single(st)[key] for st in states]
+    for atom in ("c1", "c2"):
+        expected[f"re_{atom}"] = [float(getattr(st, atom).real) for st in states]
+        expected[f"im_{atom}"] = [float(getattr(st, atom).imag) for st in states]
+    assert list(traj.records) == list(expected)
+    for key, values in expected.items():
+        assert traj.records[key].tobytes() == np.array(values).tobytes(), key
 
 
 def test_trajectory_of_length_zero_window():
