@@ -14,8 +14,9 @@ Each run writes one CSV (headers mandatory, '.' decimal separator, LF line
 endings) and prints a summary to stdout.  Parameters can also be supplied
 as key=value lines in a file passed with --config; keys are the flag names
 with underscores, values are checked exactly like flags, and command-line
-flags win over file values.  Double runs propagate with the exact
-single-comb engine, single runs with RK4 (see _plan).  Exit codes: 0
+flags win over file values.  The single subcommand propagates with RK4;
+double runs and every sweep point use the exact single-comb engine (see
+_plan).  Exit codes: 0
 success, 2 invalid parameters, paths or a run over the work limits, 3
 numerical failure (nonfinite amplitudes, or an exact spectrum that fails
 its check).
@@ -64,6 +65,8 @@ MAX_RK4_STEPS = 10 ** 7
 #: Most modes per cavity for the exact engine, whose spectrum takes
 #: O(n^2) memory (about 0.2 GiB at the limit).
 MAX_EXACT_MODES = 2001
+#: Below this Gamma * t_r the atom has not decayed by the first round trip.
+_COLLAPSE_REGIME = 5.0
 #: CSV rows converted to Python floats at once; blocks of 128 rows and
 #: more raised the peak memory of a run without writing faster.
 _CSV_BLOCK = 32
@@ -213,7 +216,14 @@ def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport
                    out_path: str) -> None:
     conc = traj.records["c_ab"]
     norm = traj.records["norm"]
-    print(f"t_r={retardation_time(config):.6f}")
+    t_r = retardation_time(config)
+    print(f"t_r={t_r:.6f}")
+    if config.n_modes > 1:
+        # the central coupling is 1, so Gamma = 2 pi / spacing = t_r
+        regime = t_r * t_r
+        warning = (f"  (below {_COLLAPSE_REGIME:g}: no collapse expected before the "
+                   f"first round trip)" if regime < _COLLAPSE_REGIME else "")
+        print(f"Gamma*t_r={regime:.4g}{warning}")
     times = predict_revival_times(config, 3)
     note = "  (single-mode cavity: Rabi-periodic, round-trip times not applicable)" \
         if config.n_modes == 1 else ""
@@ -256,16 +266,18 @@ class _Run(NamedTuple):
     t_max: float
     dt: float
     stride: int
+    engine: str  # "exact" or "rk4"
 
 
 def _plan(args: argparse.Namespace, scenario: str) -> _Run:
     """Build and check one run, the work limits included, without running it."""
     config = _make_config(args)
-    # run_double is the exact engine alone.  Single runs stay on RK4: the
-    # benchmark's traced-layer self-test (perfbench/selftest.py)
-    # expects a stepped single run, so switching them waits for the
-    # benchmark change that updates it.
-    rk4 = scenario != "double"
+    # Only the single subcommand steps RK4: the benchmark's traced-layer
+    # self-test (perfbench/selftest.py) expects a stepped single run, so
+    # switching it waits for the benchmark change that updates the test.
+    # Double runs and every sweep point use the exact engine.
+    engine = "rk4" if args.command == "single" else "exact"
+    rk4 = engine == "rk4"
     if not rk4 and config.n_modes > MAX_EXACT_MODES:
         raise ValueError(f"{config.n_modes} modes exceed the exact engine's limit of "
                          f"{MAX_EXACT_MODES}; lower --modes")
@@ -290,7 +302,7 @@ def _plan(args: argparse.Namespace, scenario: str) -> _Run:
     if samples > MAX_SAMPLES:
         raise ValueError(f"{samples:.3g} samples exceed the limit of {MAX_SAMPLES}; "
                          f"raise --stride or --dt, or lower --tmax")
-    return _Run(args, scenario, config, grid, t_max, dt, stride)
+    return _Run(args, scenario, config, grid, t_max, dt, stride, engine)
 
 
 def _run_trajectory(run: _Run) -> RevivalReport:
@@ -302,7 +314,8 @@ def _run_trajectory(run: _Run) -> RevivalReport:
             state = init_fields_entangled(config.theta, grid)
         else:
             state = init_atoms_entangled(config.theta, grid)
-        traj = run_single(grid, state, run.t_max, dt=run.dt, sample_stride=run.stride)
+        traj = run_single(grid, state, run.t_max, dt=run.dt, sample_stride=run.stride,
+                          engine=run.engine)
     out_path = args.out or f"djcsim_{scenario}.csv"
     _write_csv(out_path, "t", traj.times, traj.records)
     report = detect_revivals(traj, predicted_period=retardation_time(config))

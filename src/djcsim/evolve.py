@@ -382,16 +382,22 @@ def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
                         orthogonality=float(np.max(np.abs(overlap))))
 
 
-def _exact_atoms(grid: ModeGrid, blocks, times: np.ndarray):
-    """Atom amplitudes of cavity blocks started at (atom0, photons0), at every time.
+def _exact_atoms(grid: ModeGrid, blocks, t_max: float, dt: float, sample_stride: int):
+    """Atom amplitudes of cavity blocks started at (atom0, photons0), sampled
+    at ``sample_times(t_max, dt, sample_stride)``.
 
     Each amplitude is u(t) = sum_j exp(-i lam_j t) w_j, the atom row of
     D V exp(-i Lambda t) V^T D^H applied to the start, where D^H gives the
-    photons the factor i.  The phases are formed for at most
-    ``TIME_BLOCK`` times at once and shared by the blocks, and summed with
-    einsum: a BLAS matvec of this size is slower under threaded BLAS.
-    Returns the amplitudes, one row per block, and the engine description.
+    photons the factor i.  Every sample but the last lies on the uniform
+    grid k * stride * dt, so the phases come from one table
+    exp(-i lam_j k stride dt), k < ``TIME_BLOCK``, built once per run: the
+    block of samples starting at t_b is the table applied to the weights
+    exp(-i lam_j t_b) w_j.  The last sample, t_max, is evaluated directly.
+    The sums use einsum: a BLAS matvec of this size is slower under
+    threaded BLAS.  Returns the sample times, the amplitudes (one row per
+    block) and the engine description.
     """
+    times = sample_times(t_max, dt, sample_stride)
     spectrum = comb_spectrum(grid)
     if not (spectrum.residual <= _SPECTRUM_TOL
             and spectrum.orthogonality <= _SPECTRUM_TOL):
@@ -400,20 +406,26 @@ def _exact_atoms(grid: ModeGrid, blocks, times: np.ndarray):
             f"{spectrum.residual:.3e}, orthogonality error "
             f"{spectrum.orthogonality:.3e} (limit {_SPECTRUM_TOL:.0e})"
         )
-    weights = [spectrum.atom * (spectrum.atom * atom0 + 1j * (spectrum.photon @ photons0))
-               for atom0, photons0 in blocks]
+    lam = spectrum.eigenvalues
+    weights = np.array([
+        spectrum.atom * (spectrum.atom * atom0 + 1j * (spectrum.photon @ photons0))
+        for atom0, photons0 in blocks])
     out = np.empty((len(weights), len(times)), dtype=complex)
-    for lo in range(0, len(times), TIME_BLOCK):
-        phase = np.exp(-1j * np.outer(times[lo:lo + TIME_BLOCK], spectrum.eigenvalues))
-        for row, w in zip(out, weights):
-            row[lo:lo + len(phase)] = np.einsum("ij,j->i", phase, w)
+    on_grid = len(times) - 1
+    # times[k] = k * stride * dt for k < on_grid, bit for bit
+    table = np.exp(-1j * np.outer(times[:min(on_grid, TIME_BLOCK)], lam))
+    for lo in range(0, on_grid, TIME_BLOCK):
+        rows = min(TIME_BLOCK, on_grid - lo)
+        out[:, lo:lo + rows] = np.einsum("ij,bj->bi", table[:rows],
+                                         weights * np.exp(-1j * times[lo] * lam))
+    out[:, -1] = np.einsum("bj,j->b", weights, np.exp(-1j * times[-1] * lam))
     # The propagator is the identity at t = 0: sample the start itself, as
     # integrate does, rather than V V^T applied to it.
     out[:, times == 0.0] = np.array([[atom0] for atom0, _ in blocks])
     if not np.all(np.isfinite(out)):
         raise IntegrationError("nonfinite amplitudes from the exact engine")
-    return out, (f"exact (eigen residual {spectrum.residual:.1e}, "
-                 f"orthogonality error {spectrum.orthogonality:.1e})")
+    return times, out, (f"exact (eigen residual {spectrum.residual:.1e}, "
+                        f"orthogonality error {spectrum.orthogonality:.1e})")
 
 
 def _check_engine(engine: str) -> None:
@@ -458,9 +470,8 @@ def run_single(
         dt = default_step(grid)
 
     if engine == "exact":
-        times = sample_times(t_max, dt, sample_stride)
-        (c1, c2), description = _exact_atoms(
-            grid, [(state0.c1, state0.ca), (state0.c2, state0.cb)], times)
+        times, (c1, c2), description = _exact_atoms(
+            grid, [(state0.c1, state0.ca), (state0.c2, state0.cb)], t_max, dt, sample_stride)
         pop1 = np.abs(c1) ** 2
         pop2 = np.abs(c2) ** 2
         columns = _single_columns(
@@ -517,8 +528,8 @@ def run_double(
     check_theta(theta)
     if dt is None:
         dt = 0.5 * default_step(grid)
-    times = sample_times(t_max, dt, sample_stride)
-    (u,), description = _exact_atoms(grid, [(1.0, np.zeros(grid.n))], times)
+    times, (u,), description = _exact_atoms(grid, [(1.0, np.zeros(grid.n))], t_max, dt,
+                                            sample_stride)
     p = np.abs(u) ** 2
     d00, d11 = math.cos(theta), math.sin(theta)
     excited = d11 ** 2

@@ -299,9 +299,9 @@ def test_exact_engine_ignores_the_step_count_limit(tmp_path):
 
 
 @pytest.mark.parametrize("extra", [
-    # the second point's step is above its RK4 stability limit
-    ["--axis", "omega_a", "--values", "4840,1e6", "--modes", "19",
-     "--tmax", "0.05", "--dt", "0.001"],
+    # sweep points run on the exact engine, so its mode limit holds for
+    # the atoms and fields scenarios too
+    ["--axis", "n_modes", "--values", "3,2003", "--length-ratio", "3480", "--tmax", "1.0"],
     # the second point's default window needs more samples than the limit
     ["--initial", "double", "--axis", "length_ratio", "--values", "670,1e9", "--modes", "3",
      "--stride", "1"],
@@ -315,12 +315,70 @@ def test_sweep_checks_work_limits_before_the_first_run(tmp_path, capsys, extra):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command,engine", [("single", "rk4"), ("double", "exact")])
+@pytest.mark.parametrize("command,engine", [("single", "rk4"), ("double", "exact"),
+                                            ("sweep", "exact")])
 def test_summary_names_the_engine(tmp_path, capsys, command, engine):
-    out = tmp_path / "run.csv"
-    assert main([command, "--modes", "3", "--tmax", "1.0", "--out", str(out)]) == 0
+    extra = ["--axis", "theta", "--values", "pi/4"] if command == "sweep" else []
+    assert main([command, "--modes", "3", "--tmax", "1.0", *extra,
+                 "--out", str(tmp_path / "run.csv")]) == 0
     assert f"\nengine: {engine} (" in capsys.readouterr().out
-    assert "engine" not in out.read_text()
+    for path in tmp_path.iterdir():
+        assert "engine" not in path.read_text()
+
+
+@pytest.mark.parametrize("initial", ["atoms", "fields"])
+def test_sweep_points_step_no_rk4(tmp_path, monkeypatch, initial):
+    import djcsim.evolve as evolve
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evolve.integrate called")
+
+    monkeypatch.setattr(evolve, "integrate", forbidden)
+    assert main(["sweep", "--initial", initial, "--axis", "theta", "--values", "pi/4,pi/6",
+                 "--modes", "19", "--tmax", "2.0", "--out", str(tmp_path / "s.csv")]) == 0
+
+
+@pytest.mark.parametrize("initial", ["atoms", "fields"])
+def test_sweep_point_matches_the_single_run(tmp_path, initial):
+    # same sample times bit for bit; the columns differ by RK4's error only
+    args = ["--initial", initial, "--modes", "19", "--theta", "pi/6", "--tmax", "2.0"]
+    assert main(["single", *args, "--out", str(tmp_path / "single.csv")]) == 0
+    assert main(["sweep", *args, "--axis", "theta", "--values", "pi/6",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    header, rk4 = read_csv(tmp_path / "single.csv")
+    _, exact = read_csv(tmp_path / "sweep_theta_00.csv")
+    assert rk4["t"].tobytes() == exact["t"].tobytes()
+    for name in header[1:]:
+        assert np.max(np.abs(rk4[name] - exact[name])) <= 1e-6, name
+
+
+def test_single_mode_sweep_points_are_the_closed_form(tmp_path):
+    thetas = [math.pi / 4, math.pi / 6, math.pi / 12]
+    assert main(["sweep", "--axis", "theta", "--values", "pi/4,pi/6,pi/12", "--modes", "1",
+                 "--stride", "1", "--out", str(tmp_path / "s.csv")]) == 0
+    for index, theta in enumerate(thetas):
+        _, cols = read_csv(tmp_path / f"s_theta_{index:02d}.csv")
+        exact = math.sin(2 * theta) * np.cos(cols["t"]) ** 2
+        assert np.max(np.abs(cols["c_ab"] - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("command,modes,length_ratio,regime,warns", [
+    ("single", "19", "670", "Gamma*t_r=0.7565", True),
+    ("double", "99", "3480", "Gamma*t_r=20.41", False),
+    ("single", "1", "670", None, False),
+])
+def test_summary_names_the_regime(tmp_path, capsys, command, modes, length_ratio,
+                                  regime, warns):
+    out = tmp_path / "run.csv"
+    assert main([command, "--modes", modes, "--length-ratio", length_ratio, "--tmax", "1.0",
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    if regime is None:  # a single mode has no round trip to collapse before
+        assert "Gamma*t_r" not in printed
+    else:
+        assert f"\n{regime}" in printed
+    assert ("no collapse expected before the first round trip" in printed) == warns
+    assert "Gamma" not in out.read_text()
 
 
 def test_default_runs_call_no_numpy_linalg(tmp_path, monkeypatch):

@@ -23,7 +23,14 @@ from djcsim import (
     stability_limit,
 )
 from djcsim.double import flat_derivative as double_derivative
-from djcsim.evolve import comb_spectrum, generator_double, generator_single, sample_times
+from djcsim.evolve import (
+    TIME_BLOCK,
+    _exact_atoms,
+    comb_spectrum,
+    generator_double,
+    generator_single,
+    sample_times,
+)
 from djcsim.single import SingleExcState, flat_derivative as single_derivative
 
 
@@ -359,6 +366,30 @@ def test_comb_spectrum_reports_a_nan_grid():
 def test_sample_times_match_integrate(t_max, dt, stride):
     traj = integrate(lambda y: 0 * y, np.array([1.0 + 0j]), t_max, dt, sample_stride=stride)
     assert np.array_equal(sample_times(t_max, dt, stride), traj.times)
+
+
+@pytest.mark.parametrize("t_max,dt,stride,samples", [
+    (1.0, 0.1, 1, 11),  # one partial block
+    (7.9375, 0.0625, 1, TIME_BLOCK),  # one partial block, then t_max
+    (8.0, 0.0625, 1, TIME_BLOCK + 1),  # one full block, then t_max
+    (6.0, 0.004, 5, 301),  # stride > 1, three blocks
+    (9.537, 0.01, 3, 319),  # a shortened last step
+    (0.05, 0.1, 1, 2),  # t_max < dt: the start and t_max
+    (0.0, 0.1, 1, 1),
+])
+def test_phase_table_matches_the_direct_sum(t_max, dt, stride, samples):
+    grid = build_mode_grid(reference_config(19, 670.0, "sqrtfreq"))
+    state = random_single_state(19, np.random.default_rng(7))
+    blocks = [(state.c1, state.ca), (state.c2, state.cb)]
+    times, atoms, _ = _exact_atoms(grid, blocks, t_max, dt, stride)
+    assert np.array_equal(times, sample_times(t_max, dt, stride))
+    assert len(times) == samples
+    spectrum = comb_spectrum(grid)
+    phases = np.exp(-1j * np.outer(times, spectrum.eigenvalues))
+    for row, (atom0, photons0) in zip(atoms, blocks):
+        w = spectrum.atom * (spectrum.atom * atom0 + 1j * (spectrum.photon @ photons0))
+        assert np.max(np.abs(row - phases @ w)) <= 1e-12
+        assert row[0] == atom0  # the start itself, not V V^T applied to it
 
 
 def test_engines_agree_on_the_sample_grid():

@@ -1,0 +1,80 @@
+"""Property tests of the exact engine over random grids, angles and states."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from djcsim import (
+    SystemConfig,
+    build_mode_grid,
+    init_atoms_entangled,
+    init_fields_entangled,
+    run_double,
+    run_single,
+)
+from djcsim.evolve import comb_spectrum
+from djcsim.single import SingleExcState
+
+# no example database: a run leaves no files behind
+checked = settings(max_examples=25, deadline=None, database=None)
+
+thetas = st.floats(0.0, math.pi / 2)
+profiles = st.sampled_from(("uniform", "sqrtfreq"))
+
+
+@st.composite
+def grids(draw, max_modes=99):
+    """A valid grid: n odd, omega_a and L/lambda_a such that every mode is physical."""
+    n = 2 * draw(st.integers(0, (max_modes - 1) // 2)) + 1
+    # L/lambda_a > (n - 1) / 2 keeps the lowest mode frequency positive
+    length_ratio = (n - 1) / 2 + draw(st.floats(1.0, 5000.0))
+    omega_a = draw(st.floats(10.0, 20000.0))
+    return build_mode_grid(SystemConfig(omega_a=omega_a, length_ratio=length_ratio,
+                                        n_modes=n, coupling_profile=draw(profiles)))
+
+
+def excited_atom_population(grid, t_max, dt):
+    """|u|^2 of one atom started excited in its comb, from a single run."""
+    zeros = np.zeros(grid.n)
+    start = SingleExcState(c1=1.0, c2=0.0, ca=zeros, cb=zeros)
+    return run_single(grid, start, t_max, dt=dt, engine="exact").records["pop1"]
+
+
+@checked
+@given(grids(), thetas)
+def test_double_populations_sum_to_the_excited_weight(grid, theta):
+    rec = run_double(grid, theta, 3.0, dt=0.05).records
+    total = rec["p11"] + rec["p2"] + rec["p3"] + rec["p4"]
+    assert np.max(np.abs(total - math.sin(theta) ** 2)) <= 1e-12
+
+
+@checked
+@given(grids(), thetas)
+def test_double_concurrence_is_the_x_state_formula(grid, theta):
+    p = excited_atom_population(grid, 3.0, 0.05)
+    c_ab = run_double(grid, theta, 3.0, dt=0.05).records["c_ab"]
+    sin, cos = math.sin(theta), math.cos(theta)
+    expected = 2.0 * np.maximum(0.0, sin * cos * p - sin * sin * p * (1.0 - p))
+    assert np.max(np.abs(c_ab - expected)) <= 1e-12
+
+
+@checked
+@given(grids(), thetas, st.sampled_from((init_atoms_entangled, init_fields_entangled)))
+def test_complementary_angle_swaps_the_cavities(grid, theta, init):
+    rec = run_single(grid, init(theta, grid), 3.0, dt=0.05, engine="exact").records
+    swapped = run_single(grid, init(math.pi / 2 - theta, grid), 3.0, dt=0.05,
+                         engine="exact").records
+    pairs = [("c_ab", "c_ab"), ("norm", "norm"), ("pop1", "pop2"), ("pop_cav_a", "pop_cav_b"),
+             ("re_c1", "re_c2"), ("im_c1", "im_c2")]
+    for left, right in pairs + [(b, a) for a, b in pairs]:
+        assert np.max(np.abs(rec[left] - swapped[right])) <= 1e-12, (left, right)
+
+
+@checked
+@given(grids(max_modes=401))
+def test_comb_spectrum_checks_hold(grid):
+    spectrum = comb_spectrum(grid)
+    assert spectrum.residual <= 1e-10
+    assert spectrum.orthogonality <= 1e-10
+    assert np.all(np.diff(spectrum.eigenvalues) > 0.0)
