@@ -10,16 +10,19 @@ double   run with one excitation per cavity, starting from the entangled
 kernel   trace of the mode-summed memory kernel K(tau)
 sweep    repeat single/double runs along one parameter axis and summarize
 
-Each run writes one CSV (headers mandatory, '.' decimal separator, LF line
-endings) and prints a summary to stdout.  Parameters can also be supplied
-as key=value lines in a file passed with --config; keys are the flag names
+Every subcommand takes the grid (--modes, --length-ratio, --omega-a,
+--profile), the window (--tmax, --dt), --out and --config; only the
+trajectory runs take --theta, --stride and --angle-convention.  Each run
+writes one CSV (headers mandatory, '.' decimal separator, LF line endings)
+and prints a summary to stdout.  Parameters can also be supplied as
+key=value lines in a file passed with --config; keys are the flag names
 with underscores, values are checked exactly like flags, and command-line
-flags win over file values.  The single subcommand propagates with RK4;
-double runs and every sweep point use the exact single-comb engine (see
-_plan).  Exit codes: 0
-success, 2 invalid parameters, paths or a run over the work limits, 3
-numerical failure (nonfinite amplitudes, or an exact spectrum that fails
-its check).
+flags win over file values.  The single subcommand propagates with RK4,
+which checks its stability limit before the first step; double runs and
+every sweep point use the exact single-comb engine (see _plan).  Exit
+codes: 0 success, 2 invalid parameters, paths or a run over the work
+limits, 3 numerical failure (nonfinite amplitudes, or an exact spectrum
+that fails its check).
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .evolve import (
     default_step,
     run_double,
     run_single,
-    stability_limit,
     step_count,
 )
 from .model import ModeGrid, SystemConfig, build_mode_grid, retardation_time
@@ -51,6 +53,7 @@ from .revivals import (
     first_revival_after_death,
     memory_kernel,
     predict_revival_times,
+    tau_count,
 )
 from .single import init_atoms_entangled, init_fields_entangled
 
@@ -116,8 +119,6 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> List[str]:
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value parameter file; flags override it")
-    sub.add_argument("--theta", type=parse_number, default=math.pi / 4,
-                     help="initial mixing angle in radians; accepts pi/4 style (default pi/4)")
     sub.add_argument("--modes", type=int, default=1,
                      help="modes per cavity, odd (default 1)")
     sub.add_argument("--length-ratio", dest="length_ratio", type=float, default=670.0,
@@ -127,12 +128,20 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--profile", choices=("uniform", "sqrtfreq"), default="sqrtfreq",
                      help="coupling profile across modes (default sqrtfreq)")
     sub.add_argument("--tmax", type=float, default=None,
-                     help="window length; default 5 round trips, or two Rabi cycles for 1 mode")
+                     help="window length; default 5 round trips, or two Rabi cycles for "
+                          "1 mode (kernel: 3 round trips)")
     sub.add_argument("--dt", type=float, default=None,
                      help="integration step (kernel: tau sample step); default derived from the grid")
+    sub.add_argument("--out", default=None, help="output CSV path")
+
+
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+    """The common flags plus those of the trajectory runs, which kernel lacks."""
+    _add_common_flags(sub)
+    sub.add_argument("--theta", type=parse_number, default=math.pi / 4,
+                     help="initial mixing angle in radians; accepts pi/4 style (default pi/4)")
     sub.add_argument("--stride", type=int, default=None,
                      help="record every Nth step (default: aim for ~2000 rows)")
-    sub.add_argument("--out", default=None, help="output CSV path")
     sub.add_argument("--angle-convention", dest="angle_convention",
                      choices=("printed", "swapped"), default="printed",
                      help="role of theta in the initial state: as written, or with "
@@ -149,13 +158,13 @@ def _build_parser():
     subs = {}
 
     single = commands.add_parser("single", help="single shared excitation")
-    _add_common_flags(single)
+    _add_run_flags(single)
     single.add_argument("--initial", choices=("atoms", "fields"), default="atoms",
                         help="where the initial entanglement sits (default atoms)")
     subs["single"] = single
 
     double = commands.add_parser("double", help="one excitation per cavity")
-    _add_common_flags(double)
+    _add_run_flags(double)
     subs["double"] = double
 
     kernel = commands.add_parser("kernel", help="memory kernel trace")
@@ -163,7 +172,7 @@ def _build_parser():
     subs["kernel"] = kernel
 
     sweep = commands.add_parser("sweep", help="runs along one parameter axis")
-    _add_common_flags(sweep)
+    _add_run_flags(sweep)
     sweep.add_argument("--initial", choices=("atoms", "fields", "double"),
                        default="atoms",
                        help="scenario swept: single with atoms/fields entangled, "
@@ -177,17 +186,9 @@ def _build_parser():
     return parser, subs
 
 
-def _make_config(args: argparse.Namespace) -> SystemConfig:
-    theta = args.theta
-    if args.angle_convention == "swapped":
-        theta = math.pi / 2 - theta
-    return SystemConfig(
-        omega_a=args.omega_a,
-        length_ratio=args.length_ratio,
-        n_modes=args.modes,
-        theta=theta,
-        coupling_profile=args.profile,
-    )
+def _make_config(args: argparse.Namespace, **theta) -> SystemConfig:
+    return SystemConfig(omega_a=args.omega_a, length_ratio=args.length_ratio,
+                        n_modes=args.modes, coupling_profile=args.profile, **theta)
 
 
 def _default_tmax(config: SystemConfig) -> float:
@@ -270,8 +271,10 @@ class _Run(NamedTuple):
 
 
 def _plan(args: argparse.Namespace, scenario: str) -> _Run:
-    """Build and check one run, the work limits included, without running it."""
-    config = _make_config(args)
+    """Build and check one run, the work limits included, without running it
+    (``run_single`` checks the RK4 stability limit before its first step)."""
+    swapped = args.angle_convention == "swapped"
+    config = _make_config(args, theta=math.pi / 2 - args.theta if swapped else args.theta)
     # Only the single subcommand steps RK4: the benchmark's traced-layer
     # self-test (perfbench/selftest.py) expects a stepped single run, so
     # switching it waits for the benchmark change that updates the test.
@@ -288,7 +291,7 @@ def _plan(args: argparse.Namespace, scenario: str) -> _Run:
     dt = args.dt
     if dt is None:
         dt = default_step(grid) * (0.5 if scenario == "double" else 1.0)
-    check_window(t_max, dt, max_dt=stability_limit(grid) if rk4 else None)
+    check_window(t_max, dt)
     steps = step_count(t_max, dt)
     stride = args.stride
     if stride is None:
@@ -334,8 +337,7 @@ def _run_kernel(args: argparse.Namespace) -> int:
     if not 0 < tau_max < math.inf:
         raise ValueError(f"tmax must be positive and finite, got {tau_max!r}")
     dtau = args.dt if args.dt is not None else t_r / 400.0
-    check_window(tau_max, dtau)
-    count = int(math.floor(tau_max / dtau + 1e-9)) + 1
+    count = tau_count(tau_max, dtau)
     if count > MAX_SAMPLES:
         raise ValueError(f"{count:.3g} samples exceed the limit of {MAX_SAMPLES}; "
                          f"raise --dt or lower --tmax")
@@ -352,8 +354,11 @@ def _run_kernel(args: argparse.Namespace) -> int:
           f"length_ratio={config.length_ratio} profile={config.coupling_profile}")
     print(f"t_r={t_r:.6f}  K(0)={values[0].real:.6f}")
     if config.n_modes > 1:
-        echo = first_rephasing_maximum(taus, records["abs_k"])
-        print(f"first rephasing maximum of |K| at tau={echo:.6f}")
+        try:
+            echo = f"at tau={first_rephasing_maximum(taus, records['abs_k']):.6f}"
+        except ValueError:
+            echo = "not reached within --tmax"
+        print(f"first rephasing maximum of |K| {echo}")
     print(f"wrote {out_path}")
     return 0
 

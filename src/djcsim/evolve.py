@@ -79,16 +79,16 @@ class Trajectory:
         return len(self.times)
 
 
-def default_step(grid: ModeGrid, steps_per_cycle: int = 100) -> float:
+def default_step(grid: ModeGrid) -> float:
     """Integration step resolving the fastest frequency of the grid.
 
     The fastest secular scale is max(|largest detuning|, G) with
     G = sqrt(sum of squared couplings) the collective coupling.  The step is
-    one steps_per_cycle-th of that period, capped at 1.
+    one hundredth of that period, capped at 1.
     """
     collective = math.sqrt(float(np.sum(grid.couplings ** 2)))
     fastest = max(float(np.max(np.abs(grid.detunings))), collective)
-    return min(2.0 * math.pi / fastest / steps_per_cycle, 1.0)
+    return min(2.0 * math.pi / fastest / 100, 1.0)
 
 
 def stability_limit(grid: ModeGrid) -> float:
@@ -124,16 +124,17 @@ def step_count(t_max: float, dt: float) -> int:
 
 
 def sample_times(t_max: float, dt: float, sample_stride: int = 1) -> np.ndarray:
-    """The times ``integrate`` samples, bit for bit, without stepping.
+    """The times both engines sample: 0, then k * dt for every multiple k
+    of the stride short of the last step, then t_max.
 
-    0, then k * dt for every multiple k of the stride short of the last
-    step, then t_max.
+    k is formed as a float64 multiple of the stride, so a step count or a
+    stride beyond the int64 range still gives float64 times.
     """
     check_window(t_max, dt, sample_stride)
     n_steps = step_count(t_max, dt)
     if n_steps == 0:
         return np.zeros(1)
-    inner = np.arange(sample_stride, n_steps, sample_stride) * dt
+    inner = np.arange(1, (n_steps - 1) // sample_stride + 1) * float(sample_stride) * dt
     return np.concatenate(([0.0], inner, [t_max]))
 
 
@@ -161,7 +162,7 @@ def integrate(
         step is shortened so the last sample lands exactly on t_max.
     sample_stride : int
         A sample is recorded every ``sample_stride`` steps, plus the initial
-        and final instants.
+        and final instants: at ``sample_times(t_max, dt, sample_stride)``.
     observe : callable, optional
         ``observe(t, vector) -> dict`` of record values; defaults to the
         squared norm only.
@@ -180,19 +181,18 @@ def integrate(
 
     y = np.array(state0, dtype=complex)
     n_steps = step_count(t_max, dt)
-
-    times = []
+    times = sample_times(t_max, dt, sample_stride)
     rows = []
 
-    def sample(t: float, vec: np.ndarray) -> None:
+    def sample(vec: np.ndarray) -> None:
+        t = times[len(rows)]
         if not np.all(np.isfinite(vec)):
             raise IntegrationError(
                 f"nonfinite amplitudes at t={t:.6g}; reduce dt"
             )
-        times.append(t)
         rows.append(observe(t, vec))
 
-    sample(0.0, y)
+    sample(y)
     for i in range(n_steps):
         h = dt if i + 1 < n_steps else t_max - (n_steps - 1) * dt
         half = 0.5 * h
@@ -209,10 +209,10 @@ def integrate(
         k2 *= h / 6.0
         y = y + k2
         if (i + 1) % sample_stride == 0 or i + 1 == n_steps:
-            sample(t_max if i + 1 == n_steps else (i + 1) * dt, y)
+            sample(y)
 
     records = {key: np.array([row[key] for row in rows]) for key in rows[0]}
-    return Trajectory(times=np.array(times), records=records,
+    return Trajectory(times=times, records=records,
                       engine=f"rk4 (dt={dt:.6g}, steps={n_steps})")
 
 

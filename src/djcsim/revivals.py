@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .evolve import TIME_BLOCK, Trajectory
+from .evolve import TIME_BLOCK, Trajectory, check_window
 from .model import ModeGrid, SystemConfig, retardation_time
 
 
@@ -71,20 +71,21 @@ def memory_kernel(
     return k
 
 
-def first_kernel_echo(
-    grid: ModeGrid, dtau: float, tau_max: Optional[float] = None
-) -> float:
+def tau_count(tau_max: float, dtau: float) -> int:
+    """How many taus k * dtau, k >= 0, the kernel trace of [0, tau_max] samples."""
+    check_window(tau_max, dtau)
+    return int(math.floor(tau_max / dtau + 1e-9)) + 1
+
+
+def first_kernel_echo(grid: ModeGrid, dtau: float) -> float:
     """Location of the first rephasing maximum of |K| after tau = 0.
 
-    Scans |K| on a uniform tau grid and returns the first local maximum
+    Scans |K| on the taus the ``kernel`` command writes for its default
+    window of three round trips, and returns the first local maximum
     reaching at least half of |K(0)|, which excludes the low side lobes of
     the mode comb.  Exact to within one tau sample.
     """
-    if dtau <= 0.0:
-        raise ValueError(f"dtau must be positive, got {dtau!r}")
-    if tau_max is None:
-        tau_max = 3.0 * 2.0 * math.pi / grid.spacing
-    taus = np.arange(0.0, tau_max + 0.5 * dtau, dtau)
+    taus = np.arange(tau_count(3.0 * (2.0 * math.pi / grid.spacing), dtau)) * dtau
     return first_rephasing_maximum(taus, np.abs(memory_kernel(grid, taus)))
 
 
@@ -101,7 +102,7 @@ def first_rephasing_maximum(taus: np.ndarray, magnitudes: np.ndarray) -> float:
         if mag[i] >= threshold and mag[i] >= mag[i - 1] and mag[i] >= mag[i + 1]:
             if i > 1:  # skip the shoulder of the tau = 0 lobe
                 return float(taus[i])
-    raise ValueError("no rephasing maximum found; increase tau_max")
+    raise ValueError("no rephasing maximum among the sampled taus")
 
 
 def predict_revival_times(config: SystemConfig, count: int) -> List[float]:

@@ -1,13 +1,17 @@
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import djcsim
-from djcsim import IntegrationError
+from djcsim import (IntegrationError, SystemConfig, build_mode_grid, first_kernel_echo,
+                    retardation_time)
 from djcsim.cli import main, parse_number
 
 SINGLE_HEADER = "t,c_ab,pop1,pop2,pop_cav_a,pop_cav_b,norm,re_c1,im_c1,re_c2,im_c2"
@@ -127,6 +131,69 @@ def test_kernel_run_evaluates_the_kernel_once(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "kernel.csv")]) == 0
     assert calls == [1201]
     assert "first rephasing maximum of |K| at tau=0.869780" in capsys.readouterr().out
+
+
+def test_kernel_window_short_of_the_first_echo(tmp_path, capsys):
+    # a window that ends before t_r = 0.87 is a valid trace without an echo
+    out = tmp_path / "kernel.csv"
+    assert main(["kernel", "--modes", "19", "--tmax", "0.5", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "\nfirst rephasing maximum of |K| not reached within --tmax\n" in printed
+    assert printed.endswith(f"\nwrote {out}\n")
+    header, cols = read_csv(out)
+    assert ",".join(header) == KERNEL_HEADER
+    taus = cols["tau"]
+    assert taus.tolist() == [i * taus[1] for i in range(230)]  # 0.5 / dtau = 229.95
+
+
+@pytest.mark.parametrize("modes,length_ratio", [(19, 670.0), (99, 3480.0)])
+@pytest.mark.parametrize("profile", ["uniform", "sqrtfreq"])
+# 3 t_r / dtau = 1200 (the default dtau) and 1200.6
+@pytest.mark.parametrize("per_trip", [400.0, 400.2])
+def test_first_kernel_echo_scans_the_kernel_trace(tmp_path, capsys, monkeypatch, modes,
+                                                  length_ratio, profile, per_trip):
+    import djcsim.revivals as revivals
+
+    config = SystemConfig(omega_a=4840.0, length_ratio=length_ratio, n_modes=modes,
+                          coupling_profile=profile)
+    dtau = retardation_time(config) / per_trip
+    out = tmp_path / "kernel.csv"
+    assert main(["kernel", "--modes", str(modes), "--length-ratio", repr(length_ratio),
+                 "--profile", profile, "--dt", repr(dtau), "--out", str(out)]) == 0
+    scanned = []
+    kernel = revivals.memory_kernel
+    monkeypatch.setattr(revivals, "memory_kernel",
+                        lambda grid, taus: scanned.append(taus) or kernel(grid, taus))
+    echo = first_kernel_echo(build_mode_grid(config), dtau)
+    assert f"\nfirst rephasing maximum of |K| at tau={echo:.6f}\n" in capsys.readouterr().out
+    # the same taus, bit for bit, and none past 3 t_r
+    _, cols = read_csv(out)
+    assert scanned[0].tolist() == cols["tau"].tolist()
+    assert len(scanned[0]) == 1201
+
+
+@pytest.mark.parametrize("flag,value", [("theta", "2"), ("stride", "3"),
+                                        ("angle_convention", "swapped")])
+def test_kernel_takes_no_run_flags(tmp_path, capsys, flag, value):
+    out = str(tmp_path / "k.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--modes", "19", "--" + flag.replace("_", "-"), value, "--out", out])
+    assert exc.value.code == 2
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text(f"{flag}={value}\n")
+    assert main(["kernel", "--modes", "19", "--config", str(cfg), "--out", out]) == 2
+    assert f"unknown key {flag!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.cfg"]
+
+
+def test_kernel_options_are_the_ones_it_reads():
+    import djcsim.cli as cli
+
+    _, subs = cli._build_parser()
+    options = {action.option_strings[-1] for action in subs["kernel"]._actions
+               if action.dest != "help"}
+    assert options == {"--config", "--modes", "--length-ratio", "--omega-a", "--profile",
+                       "--tmax", "--dt", "--out"}
 
 
 def test_csv_rows_are_the_repr_of_each_value(tmp_path):
@@ -291,6 +358,24 @@ def test_work_limits_exit_2_before_writing(tmp_path, capsys, argv, named):
         assert text in err
     assert len(err) < 200
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,written", [
+    (["double", "--modes", "3", "--tmax", "1e17"], "run.csv"),
+    (["double", "--modes", "3", "--stride", "99999999999999999999"], "run.csv"),
+    (["single", "--modes", "3", "--stride", "99999999999999999999"], "run.csv"),
+    (["sweep", "--axis", "theta", "--values", "0.3", "--modes", "3", "--tmax", "1e19"],
+     "run_theta_00.csv"),
+])
+def test_step_counts_and_strides_beyond_int64(tmp_path, argv, written):
+    assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 0
+    if "--tmax" in argv:
+        t_max = float(argv[argv.index("--tmax") + 1])
+    else:  # the default window, five round trips
+        t_max = 5.0 * retardation_time(SystemConfig(omega_a=4840.0, length_ratio=670.0,
+                                                    n_modes=3))
+    _, cols = read_csv(tmp_path / written)
+    assert cols["t"][-1] == t_max
 
 
 def test_exact_engine_ignores_the_step_count_limit(tmp_path):
@@ -500,3 +585,34 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def readme_commands():
+    """The ``djcsim ...`` commands of README.md: its CLI block, then its
+    reference scenario table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    table = text.split("## Reference scenarios", 1)[1].split("\n## ", 1)[0]
+    return ([line for line in block.splitlines() if line.startswith("djcsim ")],
+            re.findall(r"`(djcsim [^`]*)`", table))
+
+
+def test_readme_lists_its_commands():
+    block, table = readme_commands()
+    assert len(block) >= 5 and len(table) >= 7
+
+
+@pytest.mark.parametrize("command", [c for part in readme_commands() for c in part])
+def test_readme_command_runs(tmp_path, command):
+    # a short window keeps each run quick; every output goes under tmp_path
+    argv = shlex.split(command)[1:]
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+    else:
+        argv += ["--out", str(tmp_path / "run.csv")]
+    try:
+        code = main(argv + ["--tmax", "1.0"])
+    except SystemExit as exc:  # argparse rejected the command line
+        pytest.fail(f"argparse exited {exc.code}")
+    assert code == 0

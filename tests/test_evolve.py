@@ -30,6 +30,7 @@ from djcsim.evolve import (
     generator_double,
     generator_single,
     sample_times,
+    step_count,
 )
 from djcsim.single import SingleExcState, flat_derivative as single_derivative
 
@@ -366,6 +367,22 @@ def test_comb_spectrum_reports_a_nan_grid():
 def test_sample_times_match_integrate(t_max, dt, stride):
     traj = integrate(lambda y: 0 * y, np.array([1.0 + 0j]), t_max, dt, sample_stride=stride)
     assert np.array_equal(sample_times(t_max, dt, stride), traj.times)
+    # the schedule itself, from Python ints: the start, every stride-th step
+    # short of the last one, then t_max
+    n_steps = step_count(t_max, dt)
+    inner = [k * dt for k in range(stride, n_steps, stride)]
+    expected = [0.0] + inner + [t_max] if n_steps else [0.0]
+    assert traj.times.tolist() == expected
+
+
+def test_sample_times_stay_float_beyond_int64():
+    times = sample_times(1.0, 0.1, 2 ** 70)
+    assert times.dtype == np.float64
+    assert times.tolist() == [0.0, 1.0]
+    # 1e20 steps: the multiples of the stride exceed the int64 range
+    times = sample_times(1e19, 0.1, 10 ** 17)
+    assert times.dtype == np.float64
+    assert times[1] == 1e17 * 0.1 and times[-1] == 1e19 and len(times) == 1001
 
 
 @pytest.mark.parametrize("t_max,dt,stride,samples", [

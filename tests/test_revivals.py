@@ -108,6 +108,12 @@ def test_first_kernel_echo_at_round_trip(n, length_ratio, profile):
     assert abs(first_kernel_echo(grid, dtau) - t_r) <= dtau
 
 
+@pytest.mark.parametrize("dtau", [math.nan, math.inf, 0.0])
+def test_first_kernel_echo_checks_the_step(dtau):
+    with pytest.raises(ValueError, match="dt"):
+        first_kernel_echo(uniform_grid(19), dtau)
+
+
 def test_predict_revival_times():
     cfg = SystemConfig(omega_a=4840.0, length_ratio=670.0, n_modes=19)
     times = predict_revival_times(cfg, 3)
