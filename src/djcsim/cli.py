@@ -14,13 +14,14 @@ Every subcommand takes the grid (--modes, --length-ratio, --omega-a,
 --profile), the window (--tmax, --dt), --out and --config; only the
 trajectory runs take --theta, --stride and --angle-convention.  Each run
 writes one CSV (headers mandatory, '.' decimal separator, LF line endings)
-and prints a summary to stdout.  Parameters can also be supplied as
-key=value lines in a file passed with --config; keys are the flag names
-with underscores, values are checked exactly like flags, and command-line
-flags win over file values.  The single subcommand propagates with RK4,
-which checks its stability limit before the first step; double runs and
-every sweep point use the exact single-comb engine (see _plan).  Exit
-codes: 0 success, 2 invalid parameters, paths or a run over the work
+and prints a summary to stdout, which warns when --tmax is long enough for
+float64 to round the phases by more than 1e-6.  Parameters can also be
+supplied as key=value lines in a file passed with --config; keys are the
+flag names with underscores, values are checked exactly like flags, and
+command-line flags win over file values.  The single subcommand propagates
+with RK4, which checks its stability limit before the first step; double
+runs and every sweep point use the exact single-comb engine (see _plan).
+Exit codes: 0 success, 2 invalid parameters, paths or a run over the work
 limits, 3 numerical failure (nonfinite amplitudes, or an exact spectrum
 that fails its check).
 """
@@ -70,6 +71,8 @@ MAX_RK4_STEPS = 10 ** 7
 MAX_EXACT_MODES = 2001
 #: Below this Gamma * t_r the atom has not decayed by the first round trip.
 _COLLAPSE_REGIME = 5.0
+#: Phase rounding (radians) above which a run warns: the column tolerance.
+_PHASE_TOL = 1e-6
 #: CSV rows converted to Python floats at once; blocks of 128 rows and
 #: more raised the peak memory of a run without writing faster.
 _CSV_BLOCK = 32
@@ -257,6 +260,22 @@ def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport
     print(f"wrote {out_path}")
 
 
+def _window(args: argparse.Namespace, t_max: float, dt: float, stride=None) -> tuple:
+    """--tmax and --dt, or the subcommand's defaults ``t_max`` and ``dt``,
+    checked together with --stride where the subcommand takes one."""
+    t_max = t_max if args.tmax is None else args.tmax
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"tmax must be positive and finite, got {t_max!r}")
+    dt = dt if args.dt is None else args.dt
+    check_window(t_max, dt, 1 if stride is None else stride)
+    return t_max, dt
+
+
+def _check_samples(samples: int, remedy: str) -> None:
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"{samples:.3g} samples exceed the limit of {MAX_SAMPLES}; {remedy}")
+
+
 class _Run(NamedTuple):
     """One trajectory run, checked and ready to propagate."""
 
@@ -285,27 +304,24 @@ def _plan(args: argparse.Namespace, scenario: str) -> _Run:
         raise ValueError(f"{config.n_modes} modes exceed the exact engine's limit of "
                          f"{MAX_EXACT_MODES}; lower --modes")
     grid = build_mode_grid(config)
-    t_max = args.tmax if args.tmax is not None else _default_tmax(config)
-    if not 0 < t_max < math.inf:
-        raise ValueError(f"tmax must be positive and finite, got {t_max!r}")
-    dt = args.dt
-    if dt is None:
-        dt = default_step(grid) * (0.5 if scenario == "double" else 1.0)
-    check_window(t_max, dt)
+    t_max, dt = _window(args, _default_tmax(config),
+                        default_step(grid) * (0.5 if scenario == "double" else 1.0), args.stride)
     steps = step_count(t_max, dt)
-    stride = args.stride
-    if stride is None:
-        stride = max(1, math.ceil(t_max / dt) // 2000)
-    elif stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride!r}")
+    stride = max(1, math.ceil(t_max / dt) // 2000) if args.stride is None else args.stride
     if rk4 and steps > MAX_RK4_STEPS:
         raise ValueError(f"{steps:.3g} RK4 steps exceed the limit of {MAX_RK4_STEPS}; "
                          f"lower --tmax or raise --dt")
-    samples = (steps - 1) // stride + 2
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"{samples:.3g} samples exceed the limit of {MAX_SAMPLES}; "
-                         f"raise --stride or --dt, or lower --tmax")
+    _check_samples((steps - 1) // stride + 2, "raise --stride or --dt, or lower --tmax")
     return _Run(args, scenario, config, grid, t_max, dt, stride, engine)
+
+
+def _phase_rounding(run: _Run) -> float:
+    """Bound u * max|lambda| * t_max on the rounding of every phase lambda * t
+    of the run, with max|delta| + G for max|lambda| (the outer brackets of
+    ``comb_spectrum``), so no spectrum is needed."""
+    grid = run.grid
+    collective = math.sqrt(float(np.sum(grid.couplings ** 2)))
+    return 2.0 ** -53 * run.t_max * (float(np.max(np.abs(grid.detunings))) + collective)
 
 
 def _run_trajectory(run: _Run) -> RevivalReport:
@@ -325,6 +341,10 @@ def _run_trajectory(run: _Run) -> RevivalReport:
     print(f"scenario: {scenario}  modes={config.n_modes} omega_a={config.omega_a} "
           f"length_ratio={config.length_ratio} profile={config.coupling_profile} "
           f"theta={config.theta!r} ({args.angle_convention} convention)")
+    rounding = _phase_rounding(run)
+    if rounding > _PHASE_TOL:
+        print(f"warning: phases round by up to {rounding:.2g} rad at t={run.t_max:g}, above "
+              f"{_PHASE_TOL:g}: the columns and revivals are noise; lower --tmax")
     _print_summary(config, traj, report, out_path)
     return report
 
@@ -333,14 +353,9 @@ def _run_kernel(args: argparse.Namespace) -> int:
     config = _make_config(args)
     grid = build_mode_grid(config)
     t_r = retardation_time(config)
-    tau_max = args.tmax if args.tmax is not None else 3.0 * t_r
-    if not 0 < tau_max < math.inf:
-        raise ValueError(f"tmax must be positive and finite, got {tau_max!r}")
-    dtau = args.dt if args.dt is not None else t_r / 400.0
+    tau_max, dtau = _window(args, 3.0 * t_r, t_r / 400.0)
     count = tau_count(tau_max, dtau)
-    if count > MAX_SAMPLES:
-        raise ValueError(f"{count:.3g} samples exceed the limit of {MAX_SAMPLES}; "
-                         f"raise --dt or lower --tmax")
+    _check_samples(count, "raise --dt or lower --tmax")
     taus = np.arange(count) * dtau
     values = memory_kernel(grid, taus)
     records = {

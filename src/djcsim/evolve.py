@@ -46,9 +46,6 @@ _RK4_IMAG_STABILITY = 2.0 * math.sqrt(2.0)
 #: Hard cap on the matrix-exponential oracle dimension.
 _EXPM_MAX_DIM = 200
 
-#: Propagation engines of the run drivers.
-ENGINES = ("exact", "rk4")
-
 #: Times the exact engine and the memory kernel evaluate per block, which
 #: bounds their (block x modes) phase matrices.
 TIME_BLOCK = 128
@@ -408,7 +405,8 @@ def _exact_atoms(grid: ModeGrid, blocks, t_max: float, dt: float, sample_stride:
         )
     lam = spectrum.eigenvalues
     weights = np.array([
-        spectrum.atom * (spectrum.atom * atom0 + 1j * (spectrum.photon @ photons0))
+        spectrum.atom * (spectrum.atom * atom0
+                         + 1j * np.einsum("jk,k->j", spectrum.photon, photons0))
         for atom0, photons0 in blocks])
     out = np.empty((len(weights), len(times)), dtype=complex)
     on_grid = len(times) - 1
@@ -426,11 +424,6 @@ def _exact_atoms(grid: ModeGrid, blocks, t_max: float, dt: float, sample_stride:
         raise IntegrationError("nonfinite amplitudes from the exact engine")
     return times, out, (f"exact (eigen residual {spectrum.residual:.1e}, "
                         f"orthogonality error {spectrum.orthogonality:.1e})")
-
-
-def _check_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
 
 
 def _single_columns(c1, c2, c_ab, pop1, pop2, pop_cav_a, pop_cav_b) -> dict:
@@ -465,7 +458,8 @@ def run_single(
     to its atom amplitude; the photon populations follow from the block's
     conserved norm.
     """
-    _check_engine(engine)
+    if engine not in ("exact", "rk4"):
+        raise ValueError(f"engine must be 'exact' or 'rk4', got {engine!r}")
     if dt is None:
         dt = default_step(grid)
 

@@ -350,6 +350,16 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     # counts of about 1e302 are printed in %.3g form
     (["double", "--modes", "3", "--tmax", "1e300", "--stride", "1"], ["e+302 samples"]),
     (["single", "--modes", "3", "--tmax", "1e300"], ["e+302 RK4 steps"]),
+    # the window boundaries of every subcommand
+    (["single", "--modes", "3", "--tmax", "0"], ["tmax"]),
+    (["double", "--modes", "3", "--tmax", "-1"], ["tmax"]),
+    (["sweep", "--axis", "theta", "--values", "0.3", "--modes", "3", "--tmax", "0"], ["tmax"]),
+    (["kernel", "--tmax", "0"], ["tmax"]),
+    (["kernel", "--tmax", "-1"], ["tmax"]),
+    (["single", "--modes", "3", "--stride", "0"], ["stride"]),
+    (["double", "--modes", "3", "--stride", "-2"], ["stride"]),
+    (["sweep", "--axis", "theta", "--values", "0.3", "--modes", "3", "--stride", "0"],
+     ["stride"]),
 ])
 def test_work_limits_exit_2_before_writing(tmp_path, capsys, argv, named):
     assert main(argv + ["--out", str(tmp_path / "big.csv")]) == 2
@@ -616,3 +626,27 @@ def test_readme_command_runs(tmp_path, command):
     except SystemExit as exc:  # argparse rejected the command line
         pytest.fail(f"argparse exited {exc.code}")
     assert code == 0
+
+
+@pytest.mark.parametrize("t_max,warns", [("1e17", True), ("1e9", False)])
+def test_phase_rounding_warns_past_the_float64_window(tmp_path, capsys, t_max, warns):
+    # u * max|lambda| * t_max: 82 rad at 1e17 and 8.2e-7 at 1e9 for this grid
+    out = tmp_path / "run.csv"
+    assert main(["double", "--modes", "3", "--tmax", t_max, "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "warning" in line]
+    assert len(lines) == int(warns)
+    if warns:
+        assert "--tmax" in lines[0]
+    assert out.exists()
+
+
+@pytest.mark.parametrize("command", [c for part in readme_commands() for c in part])
+def test_readme_commands_stay_below_the_phase_warning(command):
+    # each trajectory command's own window, planned but not run; the
+    # scenario sets only the default dt, which the bound does not use
+    import djcsim.cli as cli
+
+    parser, _ = cli._build_parser()
+    args = parser.parse_args(shlex.split(command)[1:])
+    if args.command != "kernel":  # at most 2e-13
+        assert cli._phase_rounding(cli._plan(args, "single-atoms")) < 1e-12
