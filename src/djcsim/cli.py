@@ -307,7 +307,7 @@ def _plan(args: argparse.Namespace, scenario: str) -> _Run:
     t_max, dt = _window(args, _default_tmax(config),
                         default_step(grid) * (0.5 if scenario == "double" else 1.0), args.stride)
     steps = step_count(t_max, dt)
-    stride = max(1, math.ceil(t_max / dt) // 2000) if args.stride is None else args.stride
+    stride = max(1, steps // 2000) if args.stride is None else args.stride
     if rk4 and steps > MAX_RK4_STEPS:
         raise ValueError(f"{steps:.3g} RK4 steps exceed the limit of {MAX_RK4_STEPS}; "
                          f"lower --tmax or raise --dt")
@@ -315,13 +315,22 @@ def _plan(args: argparse.Namespace, scenario: str) -> _Run:
     return _Run(args, scenario, config, grid, t_max, dt, stride, engine)
 
 
-def _phase_rounding(run: _Run) -> float:
-    """Bound u * max|lambda| * t_max on the rounding of every phase lambda * t
-    of the run, with max|delta| + G for max|lambda| (the outer brackets of
-    ``comb_spectrum``), so no spectrum is needed."""
-    grid = run.grid
+def _comb_frequency(grid: ModeGrid) -> float:
+    """max|delta| + G, which bounds every |eigenvalue| of the comb (the outer
+    brackets of ``comb_spectrum``), so no spectrum is needed."""
     collective = math.sqrt(float(np.sum(grid.couplings ** 2)))
-    return 2.0 ** -53 * run.t_max * (float(np.max(np.abs(grid.detunings))) + collective)
+    return float(np.max(np.abs(grid.detunings))) + collective
+
+
+def _phase_rounding(frequency: float, window: float) -> float:
+    """Bound u * frequency * window on the rounding of every phase of a run
+    whose frequencies are at most ``frequency``; print the warning line when
+    it exceeds ``_PHASE_TOL``."""
+    rounding = 2.0 ** -53 * window * frequency
+    if rounding > _PHASE_TOL:
+        print(f"warning: phases round by up to {rounding:.2g} rad at t={window:g}, above "
+              f"{_PHASE_TOL:g}: the columns and revivals are noise; lower --tmax")
+    return rounding
 
 
 def _run_trajectory(run: _Run) -> RevivalReport:
@@ -341,10 +350,7 @@ def _run_trajectory(run: _Run) -> RevivalReport:
     print(f"scenario: {scenario}  modes={config.n_modes} omega_a={config.omega_a} "
           f"length_ratio={config.length_ratio} profile={config.coupling_profile} "
           f"theta={config.theta!r} ({args.angle_convention} convention)")
-    rounding = _phase_rounding(run)
-    if rounding > _PHASE_TOL:
-        print(f"warning: phases round by up to {rounding:.2g} rad at t={run.t_max:g}, above "
-              f"{_PHASE_TOL:g}: the columns and revivals are noise; lower --tmax")
+    _phase_rounding(_comb_frequency(grid), run.t_max)
     _print_summary(config, traj, report, out_path)
     return report
 
@@ -367,6 +373,7 @@ def _run_kernel(args: argparse.Namespace) -> int:
     _write_csv(out_path, "tau", taus, records)
     print(f"scenario: kernel  modes={config.n_modes} omega_a={config.omega_a} "
           f"length_ratio={config.length_ratio} profile={config.coupling_profile}")
+    _phase_rounding(float(np.max(np.abs(grid.detunings))), tau_max)
     print(f"t_r={t_r:.6f}  K(0)={values[0].real:.6f}")
     if config.n_modes > 1:
         try:

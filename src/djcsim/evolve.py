@@ -95,12 +95,8 @@ def stability_limit(grid: ModeGrid) -> float:
     return _RK4_IMAG_STABILITY / spectral_bound
 
 
-def check_window(t_max: float, dt: float, sample_stride: int = 1,
-                 max_dt: Optional[float] = None) -> None:
-    """Reject a window, step or stride that cannot be sampled.
-
-    ``max_dt`` is the stability limit of a stepping engine, if any.
-    """
+def check_window(t_max: float, dt: float, sample_stride: int = 1) -> None:
+    """Reject a window, step or stride that cannot be sampled."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not 0.0 <= t_max < math.inf:
@@ -109,10 +105,6 @@ def check_window(t_max: float, dt: float, sample_stride: int = 1,
         raise ValueError(f"t_max={t_max!r} over dt={dt!r} overflows; raise dt")
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride!r}")
-    if max_dt is not None and dt > max_dt:
-        raise ValueError(
-            f"dt={dt!r} exceeds the stability limit {max_dt!r} for this grid"
-        )
 
 
 def step_count(t_max: float, dt: float) -> int:
@@ -172,13 +164,16 @@ def integrate(
     IntegrationError
         If any sampled amplitude is nonfinite.
     """
-    check_window(t_max, dt, sample_stride, max_dt)
+    times = sample_times(t_max, dt, sample_stride)
+    if max_dt is not None and dt > max_dt:
+        raise ValueError(
+            f"dt={dt!r} exceeds the stability limit {max_dt!r} for this grid"
+        )
     if observe is None:
         observe = lambda t, y: {"norm": float(np.sum(np.abs(y) ** 2))}
 
     y = np.array(state0, dtype=complex)
     n_steps = step_count(t_max, dt)
-    times = sample_times(t_max, dt, sample_stride)
     rows = []
 
     def sample(vec: np.ndarray) -> None:

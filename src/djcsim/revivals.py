@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
 from .evolve import TIME_BLOCK, Trajectory, check_window
 from .model import ModeGrid, SystemConfig, retardation_time
+
+#: Concurrence at or below this counts as dead (zero up to rounding).
+FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -117,25 +120,20 @@ def predict_revival_times(config: SystemConfig, count: int) -> List[float]:
     return [m * t_r for m in range(1, count + 1)]
 
 
-def detect_revivals(
-    traj: Trajectory,
-    floor: float = 1e-6,
-    min_gap: Optional[float] = None,
-    predicted_period: float = math.nan,
-) -> RevivalReport:
+def detect_revivals(traj: Trajectory, predicted_period: float = math.nan) -> RevivalReport:
     """Locate dead intervals and revival events in a concurrence trace.
 
-    A dead interval is a maximal run of samples at or below ``floor``;
-    runs separated by above-floor blips shorter than ``min_gap`` are merged,
-    and merged runs spanning less than ``min_gap`` (isolated zeros of an
+    A dead interval is a maximal run of samples at or below ``FLOOR``;
+    runs separated by above-floor blips shorter than the gap are merged,
+    and merged runs spanning less than the gap (isolated zeros of an
     oscillatory trace) are discarded.  Revival events are the local maxima
-    of the trace above the floor, merged within ``min_gap``; the onset of an
+    of the trace above the floor, merged within the gap; the onset of an
     event is the first crossing above the floor after the preceding dead
     interval, or the preceding local minimum when the trace never died.
     A trace that never rises while above the floor has no revivals.
 
-    ``min_gap`` defaults to 20 median sample spacings, capped at 1/20 of the
-    trace span so coarsely sampled traces still resolve their dead stretches.
+    The gap is 20 median sample spacings, capped at 1/20 of the trace span
+    so coarsely sampled traces still resolve their dead stretches.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
@@ -143,28 +141,38 @@ def detect_revivals(
         raise ValueError("trajectory has no concurrence column 'c_ab'")
     t = np.asarray(traj.times, dtype=float)
     c = np.asarray(traj.records["c_ab"], dtype=float)
-    if min_gap is None:
-        spacings = np.diff(t)
-        if len(spacings):
-            min_gap = min(20.0 * float(np.median(spacings)),
-                          (t[-1] - t[0]) / 20.0)
-        else:
-            min_gap = 0.0
+    gap = min(20.0 * _median(np.diff(t)), (t[-1] - t[0]) / 20.0) if len(t) > 1 else 0.0
 
     report = RevivalReport(predicted_period=predicted_period)
 
-    below = c <= floor
-    runs = _maximal_runs(below)
-    merged = _merge_runs(runs, t, min_gap)
+    # Maximal runs at or below the floor, [first, last]; a run joins the
+    # previous one when the blip between them is shorter than the gap.
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], c <= FLOOR, [False]))))
+    first, last = edges[0::2], edges[1::2] - 1
+    if len(first):
+        split = np.concatenate(([True], ~(t[first[1:]] - t[last[:-1]] < gap)))
+        first, last = first[split], last[np.concatenate((split[1:], [True]))]
     report.dead_intervals = [
-        (float(t[i]), float(t[j])) for i, j in merged if t[j] - t[i] >= min_gap
+        (start, end) for start, end in zip(t[first].tolist(), t[last].tolist())
+        if end - start >= gap
     ]
 
-    rising = np.flatnonzero((np.diff(c) > 0.0) & (c[1:] > floor))
-    if len(rising) == 0:
+    above = c > FLOOR
+    up = c[1:] > c[:-1]
+    if not np.any(above[1:] & up):
         return report
 
-    peaks = _merged_peaks(t, c, floor, min_gap)
+    # Peak candidates: above the floor, above the left neighbour and at
+    # least the right one.  Each joins the peak kept last when within the
+    # gap of it, and replaces it when higher.
+    candidates = above & np.concatenate(([True], up)) & np.concatenate((c[:-1] >= c[1:], [True]))
+    peaks: List[int] = []
+    for i in np.flatnonzero(candidates).tolist():
+        if peaks and t[i] - t[peaks[-1]] < gap:
+            if c[i] > c[peaks[-1]]:
+                peaks[-1] = i
+        else:
+            peaks.append(i)
     # sampling-jitter blips inside a merged dead interval are not revivals
     peaks = [
         i for i in peaks
@@ -173,7 +181,7 @@ def detect_revivals(
     dead_ends = [end for _, end in report.dead_intervals]
     previous_peak = -math.inf
     for idx in peaks:
-        onset = _event_onset(t, c, idx, floor, dead_ends, previous_peak)
+        onset = _event_onset(t, c, idx, dead_ends, previous_peak)
         report.revivals.append(
             RevivalEvent(onset=onset, peak_time=float(t[idx]), peak_value=float(c[idx]))
         )
@@ -205,67 +213,18 @@ def first_revival_after_death(report: RevivalReport) -> RevivalEvent:
                         peak_value=best.peak_value)
 
 
-def _maximal_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
-    """Index spans [i, j] of maximal True runs."""
-    runs = []
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return runs
-
-
-def _merge_runs(
-    runs: List[Tuple[int, int]], t: np.ndarray, min_gap: float
-) -> List[Tuple[int, int]]:
-    """Join below-floor runs separated by above-floor gaps shorter than min_gap."""
-    if not runs:
-        return []
-    merged = [runs[0]]
-    for i, j in runs[1:]:
-        last_i, last_j = merged[-1]
-        if t[i] - t[last_j] < min_gap:
-            merged[-1] = (last_i, j)
-        else:
-            merged.append((i, j))
-    return merged
-
-
-def _merged_peaks(
-    t: np.ndarray, c: np.ndarray, floor: float, min_gap: float
-) -> List[int]:
-    """Local maxima of c above the floor, keeping the highest within min_gap."""
-    candidates = []
-    n = len(c)
-    for i in range(n):
-        if c[i] <= floor:
-            continue
-        left_ok = i == 0 or c[i] > c[i - 1]
-        right_ok = i == n - 1 or c[i] >= c[i + 1]
-        if left_ok and right_ok:
-            candidates.append(i)
-    merged: List[int] = []
-    for i in candidates:
-        if merged and t[i] - t[merged[-1]] < min_gap:
-            if c[i] > c[merged[-1]]:
-                merged[-1] = i
-        else:
-            merged.append(i)
-    return merged
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a nonempty array, to the bit, without the numpy.ma
+    import (about 2 MB resident) that its NaN check makes on first use."""
+    lo, hi = (len(values) - 1) // 2, len(values) // 2
+    part = np.partition(values, [lo, hi, -1])  # NaNs sort last
+    return math.nan if math.isnan(part[-1]) else float(np.mean(part[lo:hi + 1]))
 
 
 def _event_onset(
     t: np.ndarray,
     c: np.ndarray,
     peak_idx: int,
-    floor: float,
     dead_ends: List[float],
     previous_peak: float,
 ) -> float:
@@ -277,7 +236,7 @@ def _event_onset(
         if previous_peak < end < peak_time:
             exit_time = end
     if exit_time is not None:
-        after = np.flatnonzero((t > exit_time) & (c > floor))
+        after = np.flatnonzero((t > exit_time) & (c > FLOOR))
         if len(after):
             return float(t[after[0]])
     # Otherwise: local minimum since the previous peak (or the trace start).

@@ -397,6 +397,17 @@ def test_exact_engine_ignores_the_step_count_limit(tmp_path):
     assert np.max(np.abs(cols["norm"] - 1.0)) <= 1e-12
 
 
+def test_default_stride_counts_the_steps_taken(tmp_path):
+    # t_max / dt lies within 1e-12 above 3999, so the run takes 3999 steps
+    # and the default stride is 3999 // 2000 = 1: every step is a sample
+    out = tmp_path / "run.csv"
+    assert main(["single", "--modes", "1", "--tmax", "3999.000000000001", "--dt", "1",
+                 "--out", str(out)]) == 0
+    _, cols = read_csv(out)
+    assert len(cols["t"]) == 4000
+    assert np.array_equal(cols["t"][:-1], np.arange(3999.0))
+
+
 @pytest.mark.parametrize("extra", [
     # sweep points run on the exact engine, so its mode limit holds for
     # the atoms and fields scenarios too
@@ -607,6 +618,14 @@ def readme_commands():
             re.findall(r"`(djcsim [^`]*)`", table))
 
 
+def test_readme_library_snippet_runs(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (snippet,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    exec(snippet, {})
+    printed = capsys.readouterr().out
+    assert re.fullmatch(r"RevivalEvent\(onset=4\.4346\d*, .*\)\n", printed)
+
+
 def test_readme_lists_its_commands():
     block, table = readme_commands()
     assert len(block) >= 5 and len(table) >= 7
@@ -628,11 +647,20 @@ def test_readme_command_runs(tmp_path, command):
     assert code == 0
 
 
-@pytest.mark.parametrize("t_max,warns", [("1e17", True), ("1e9", False)])
-def test_phase_rounding_warns_past_the_float64_window(tmp_path, capsys, t_max, warns):
-    # u * max|lambda| * t_max: 82 rad at 1e17 and 8.2e-7 at 1e9 for this grid
+@pytest.mark.parametrize("argv,warns", [
+    pytest.param(["double", "--modes", "3", "--tmax", "1e17"], True, id="double-1e17"),
+    pytest.param(["double", "--modes", "3", "--tmax", "1e9"], False, id="double-1e9"),
+    pytest.param(["kernel", "--modes", "19", "--tmax", "1e17", "--dt", "1e12"], True,
+                 id="kernel-1e17"),
+    pytest.param(["kernel", "--modes", "19", "--tmax", "1e8", "--dt", "1000"], False,
+                 id="kernel-1e8"),
+])
+def test_phase_rounding_warns_past_the_float64_window(tmp_path, capsys, argv, warns):
+    # u * largest frequency * window: the double run's max|lambda| bound gives
+    # 99 rad at 1e17 and 9.9e-7 at 1e9; the kernel's max|delta| gives 722 rad
+    # at 1e17 and 7.2e-7 at 1e8
     out = tmp_path / "run.csv"
-    assert main(["double", "--modes", "3", "--tmax", t_max, "--out", str(out)]) == 0
+    assert main(argv + ["--out", str(out)]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines() if "warning" in line]
     assert len(lines) == int(warns)
     if warns:
@@ -641,12 +669,22 @@ def test_phase_rounding_warns_past_the_float64_window(tmp_path, capsys, t_max, w
 
 
 @pytest.mark.parametrize("command", [c for part in readme_commands() for c in part])
-def test_readme_commands_stay_below_the_phase_warning(command):
-    # each trajectory command's own window, planned but not run; the
-    # scenario sets only the default dt, which the bound does not use
+def test_readme_commands_stay_below_the_phase_warning(tmp_path, monkeypatch, command):
+    # each trajectory command's own window, planned but not run (the scenario
+    # sets only the default dt, which the bound does not use); kernel traces
+    # are cheap, so the kernel command runs and reports its bound
     import djcsim.cli as cli
 
     parser, _ = cli._build_parser()
     args = parser.parse_args(shlex.split(command)[1:])
-    if args.command != "kernel":  # at most 2e-13
-        assert cli._phase_rounding(cli._plan(args, "single-atoms")) < 1e-12
+    phase_rounding = cli._phase_rounding
+    if args.command == "kernel":
+        calls = []
+        monkeypatch.setattr(cli, "_phase_rounding", lambda *a: calls.append(a))
+        args.out = str(tmp_path / "kernel.csv")
+        assert cli._run_kernel(args) == 0
+        (frequency_window,) = calls
+    else:
+        run = cli._plan(args, "single-atoms")
+        frequency_window = (cli._comb_frequency(run.grid), run.t_max)
+    assert phase_rounding(*frequency_window) < 1e-12  # at most 2e-13

@@ -1,5 +1,6 @@
 """Property tests of the exact engine over random grids, angles and states,
-and of the RK4 reference stack on small, slow grids."""
+of the RK4 reference stack on small, slow grids, and of the revival
+detector against a sample-by-sample loop and numpy's median."""
 
 import math
 
@@ -8,13 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from djcsim import (
     SystemConfig,
+    Trajectory,
     build_mode_grid,
+    detect_revivals,
     init_atoms_entangled,
     init_fields_entangled,
     run_double,
     run_single,
 )
 from djcsim.evolve import comb_spectrum
+from djcsim.revivals import _median
 from djcsim.single import SingleExcState
 
 # no example database: a run leaves no files behind
@@ -116,3 +120,62 @@ def test_comb_spectrum_checks_hold(grid):
     assert spectrum.residual <= 1e-10
     assert spectrum.orthogonality <= 1e-10
     assert np.all(np.diff(spectrum.eigenvalues) > 0.0)
+
+
+def loop_dead_and_peaks(t, c, floor=1e-6):
+    """The detector's dead intervals and revival peak times, found sample by
+    sample: runs at or below the floor joined across blips shorter than the
+    gap, and local maxima merged within the gap."""
+    n = len(c)
+    gap = min(20.0 * float(np.median(np.diff(t))), (t[-1] - t[0]) / 20.0) if n > 1 else 0.0
+    runs, i = [], 0
+    while i < n:
+        if c[i] <= floor:
+            j = i
+            while j + 1 < n and c[j + 1] <= floor:
+                j += 1
+            if runs and t[i] - t[runs[-1][1]] < gap:
+                runs[-1] = (runs[-1][0], j)
+            else:
+                runs.append((i, j))
+            i = j + 1
+        else:
+            i += 1
+    dead = [(float(t[i]), float(t[j])) for i, j in runs if t[j] - t[i] >= gap]
+    if not any(c[i] > floor and c[i] > c[i - 1] for i in range(1, n)):
+        return dead, []
+    peaks = []
+    for i in range(n):
+        if c[i] > floor and (i == 0 or c[i] > c[i - 1]) and (i == n - 1 or c[i] >= c[i + 1]):
+            if peaks and t[i] - t[peaks[-1]] < gap:
+                if c[i] > c[peaks[-1]]:
+                    peaks[-1] = i
+            else:
+                peaks.append(i)
+    return dead, [float(t[i]) for i in peaks if not any(a <= t[i] <= b for a, b in dead)]
+
+
+# values at and around the floor, ties and plateaus
+levels = st.sampled_from((0.0, 5e-7, 1e-6, 2e-6, 0.1, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from((0.05, 0.1, 0.1, 0.2)), levels),
+                min_size=1, max_size=80))
+def test_detector_matches_the_sample_loop(samples):
+    t = np.cumsum([step for step, _ in samples])
+    c = np.array([level for _, level in samples])
+    report = detect_revivals(Trajectory(times=t, records={"c_ab": c}))
+    dead, peak_times = loop_dead_and_peaks(t, c)
+    assert report.dead_intervals == dead
+    assert [ev.peak_time for ev in report.revivals] == peak_times
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.floats() | st.sampled_from((0.1, 0.2, math.inf, math.nan)),
+                min_size=1, max_size=40))
+def test_median_is_numpys(values):
+    x = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected, got = float(np.median(x)), _median(x)
+    assert got == expected or (math.isnan(got) and math.isnan(expected))

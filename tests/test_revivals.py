@@ -134,7 +134,7 @@ def test_detector_on_rabi_trace():
     # sin(2 theta) cos^2(t) touches zero only at isolated points: no dead
     # intervals, peaks of height 1 at t = 0, pi, 2 pi
     t = np.linspace(0.0, 2 * math.pi, 2001)
-    report = detect_revivals(trace(t, np.cos(t) ** 2), floor=1e-6)
+    report = detect_revivals(trace(t, np.cos(t) ** 2))
     assert report.dead_intervals == []
     peak_times = [ev.peak_time for ev in report.revivals]
     np.testing.assert_allclose(peak_times, [0.0, math.pi, 2 * math.pi], atol=5e-3)
@@ -148,7 +148,7 @@ def test_detector_on_monotone_decay():
     t = np.linspace(0.0, 2.0, 1001)
     c = np.exp(-20.0 * t)
     c[c <= 1e-6] = 0.0
-    report = detect_revivals(trace(t, c), floor=1e-6)
+    report = detect_revivals(trace(t, c))
     assert report.revivals == []
     assert len(report.dead_intervals) == 1
     start, end = report.dead_intervals[0]
@@ -161,7 +161,7 @@ def test_detector_on_synthetic_echo():
     t = np.linspace(0.0, 8.0, 4001)
     c = np.exp(-6.0 * t) + 0.4 * np.exp(-((t - 5.0) ** 2) / 0.05)
     c[c <= 1e-6] = 0.0
-    report = detect_revivals(trace(t, c), floor=1e-6)
+    report = detect_revivals(trace(t, c))
     assert len(report.dead_intervals) >= 1
     event = first_revival_after_death(report)
     assert 4.0 < event.onset < 5.0
@@ -178,7 +178,7 @@ def test_first_revival_spans_leading_edge_bumps():
          + 1e-3 * np.exp(-((t - 4.5) ** 2) / 0.01)
          + 0.4 * np.exp(-((t - 5.2) ** 2) / 0.05))
     c[c <= 1e-6] = 0.0
-    report = detect_revivals(trace(t, c), floor=1e-6)
+    report = detect_revivals(trace(t, c))
     event = first_revival_after_death(report)
     assert event.peak_time == pytest.approx(5.2, abs=5e-3)
     assert event.peak_value == pytest.approx(0.4, abs=2e-3)
@@ -192,7 +192,7 @@ def test_detector_merges_jittered_dips():
     c[c <= 1e-6] = 0.0
     blip = np.argmin(np.abs(t - 3.5))
     c[blip] = 1e-4
-    report = detect_revivals(trace(t, c), floor=1e-6, min_gap=0.2)
+    report = detect_revivals(trace(t, c))
     # first dead interval spans the blip; the echo tail forms a second one
     assert len(report.dead_intervals) == 2
     start, end = report.dead_intervals[0]
@@ -205,8 +205,35 @@ def test_detector_drops_isolated_zero_samples():
     t = np.linspace(0.0, 2 * math.pi, 4001)
     c = np.cos(t) ** 2
     c[np.argmin(np.abs(t - math.pi / 2))] = 0.0  # one zero sample
-    report = detect_revivals(trace(t, c), floor=1e-6, min_gap=0.1)
+    report = detect_revivals(trace(t, c))
     assert report.dead_intervals == []
+
+
+_T = np.linspace(0.0, 10.0, 101)
+
+
+@pytest.mark.parametrize(
+    "times,conc,dead,onsets,peak_times",
+    [
+        pytest.param(_T, np.where(_T < 3.0, 0.0, np.sin(_T - 3.0) ** 2), [(0.0, 3.0)],
+                     [3.1, 6.1, 9.3], [4.6, 7.7, 10.0], id="dead-at-start"),
+        pytest.param(_T, np.where(_T > 7.0, 0.0, np.cos(_T) ** 2 + 0.01), [(7.1, 10.0)],
+                     [0.0, 1.6, 4.7], [0.0, 3.1, 6.3], id="dead-at-end"),
+        # a plateau peaks at its first sample
+        pytest.param(np.arange(5.0), [0.1, 0.5, 0.5, 0.2, 0.1], [], [0.0], [1.0],
+                     id="plateau"),
+        pytest.param(_T, np.zeros(101), [(0.0, 10.0)], [], [], id="all-zeros"),
+        pytest.param([0.0], [0.3], [], [], [], id="one-sample-alive"),
+        pytest.param([0.0], [0.0], [(0.0, 0.0)], [], [], id="one-sample-dead"),
+        # a trace that never rises has no revivals
+        pytest.param(_T, np.exp(-_T), [], [], [], id="monotone-decay"),
+    ],
+)
+def test_detector_edge_cases(times, conc, dead, onsets, peak_times):
+    report = detect_revivals(trace(times, conc))
+    assert report.dead_intervals == [pytest.approx(span, abs=1e-12) for span in dead]
+    assert [ev.onset for ev in report.revivals] == pytest.approx(onsets, abs=1e-12)
+    assert [ev.peak_time for ev in report.revivals] == pytest.approx(peak_times, abs=1e-12)
 
 
 def test_detector_rejects_empty_and_missing_column():
@@ -248,7 +275,7 @@ def test_report_invariants_on_synthetic_echo_train():
          + 0.5 * np.exp(-((t - 5.0) ** 2) / 0.05)
          + 0.3 * np.exp(-((t - 10.0) ** 2) / 0.05))
     c[c <= 1e-6] = 0.0
-    report = detect_revivals(trace(t, c), floor=1e-6, predicted_period=5.0)
+    report = detect_revivals(trace(t, c), predicted_period=5.0)
     assert report.predicted_period == 5.0
     onsets = [ev.onset for ev in report.revivals]
     assert all(b > a for a, b in zip(onsets, onsets[1:]))
