@@ -10,7 +10,6 @@ from .concurrence import (
 )
 from .double import (
     DoubleExcState,
-    deriv_double,
     init_double,
     observables_double,
 )
@@ -42,7 +41,6 @@ from .revivals import (
 )
 from .single import (
     SingleExcState,
-    deriv_single,
     init_atoms_entangled,
     init_fields_entangled,
     observables_single,
@@ -65,8 +63,6 @@ __all__ = [
     "concurrence_single_closed",
     "concurrence_wootters",
     "default_step",
-    "deriv_double",
-    "deriv_single",
     "detect_revivals",
     "expm_oracle",
     "first_kernel_echo",

@@ -315,13 +315,6 @@ def _plan(args: argparse.Namespace, scenario: str) -> _Run:
     return _Run(args, scenario, config, grid, t_max, dt, stride, engine)
 
 
-def _comb_frequency(grid: ModeGrid) -> float:
-    """max|delta| + G, which bounds every |eigenvalue| of the comb (the outer
-    brackets of ``comb_spectrum``), so no spectrum is needed."""
-    collective = math.sqrt(float(np.sum(grid.couplings ** 2)))
-    return float(np.max(np.abs(grid.detunings))) + collective
-
-
 def _phase_rounding(frequency: float, window: float) -> float:
     """Bound u * frequency * window on the rounding of every phase of a run
     whose frequencies are at most ``frequency``; print the warning line when
@@ -350,7 +343,9 @@ def _run_trajectory(run: _Run) -> RevivalReport:
     print(f"scenario: {scenario}  modes={config.n_modes} omega_a={config.omega_a} "
           f"length_ratio={config.length_ratio} profile={config.coupling_profile} "
           f"theta={config.theta!r} ({args.angle_convention} convention)")
-    _phase_rounding(_comb_frequency(grid), run.t_max)
+    # max|delta| + G bounds every |eigenvalue| of the comb (the outer brackets
+    # of ``comb_spectrum``), so no spectrum is needed
+    _phase_rounding(grid.max_detuning + grid.collective_coupling, run.t_max)
     _print_summary(config, traj, report, out_path)
     return report
 
@@ -373,7 +368,12 @@ def _run_kernel(args: argparse.Namespace) -> int:
     _write_csv(out_path, "tau", taus, records)
     print(f"scenario: kernel  modes={config.n_modes} omega_a={config.omega_a} "
           f"length_ratio={config.length_ratio} profile={config.coupling_profile}")
-    _phase_rounding(float(np.max(np.abs(grid.detunings))), tau_max)
+    _phase_rounding(grid.max_detuning, tau_max)
+    # the fastest term exp(-i max|delta| tau) needs two samples per period
+    if dtau * grid.max_detuning > math.pi:
+        print(f"warning: --dt {dtau:g} exceeds pi/max|delta| = "
+              f"{math.pi / grid.max_detuning:.3g}: |K| aliases and its rephasing maximum "
+              f"is not resolved; lower --dt")
     print(f"t_r={t_r:.6f}  K(0)={values[0].real:.6f}")
     if config.n_modes > 1:
         try:

@@ -121,18 +121,6 @@ def flat_derivative(grid: ModeGrid) -> Callable[[np.ndarray], np.ndarray]:
     return deriv
 
 
-def deriv_double(state: DoubleExcState, grid: ModeGrid) -> DoubleExcState:
-    """Time derivative of a double-excitation state."""
-    if (state.n != grid.n or len(state.d3) != grid.n
-            or state.d4.shape != (grid.n, grid.n)):
-        raise ValueError(
-            f"dimension mismatch: state has d2/d3 of length {state.n}/"
-            f"{len(state.d3)} and d4 of shape {state.d4.shape}, grid has {grid.n} modes"
-        )
-    dvec = flat_derivative(grid)(state.to_vector())
-    return DoubleExcState.from_vector(dvec, grid.n)
-
-
 def observables_double(state: DoubleExcState) -> dict:
     """Populations of the five amplitude sectors plus the total norm."""
     p00 = abs(state.d00) ** 2

@@ -83,15 +83,13 @@ def default_step(grid: ModeGrid) -> float:
     G = sqrt(sum of squared couplings) the collective coupling.  The step is
     one hundredth of that period, capped at 1.
     """
-    collective = math.sqrt(float(np.sum(grid.couplings ** 2)))
-    fastest = max(float(np.max(np.abs(grid.detunings))), collective)
+    fastest = max(grid.max_detuning, grid.collective_coupling)
     return min(2.0 * math.pi / fastest / 100, 1.0)
 
 
 def stability_limit(grid: ModeGrid) -> float:
     """Largest step for which RK4 stays stable on this grid (conservative)."""
-    collective = math.sqrt(float(np.sum(grid.couplings ** 2)))
-    spectral_bound = 2.0 * (float(np.max(np.abs(grid.detunings))) + collective)
+    spectral_bound = 2.0 * (grid.max_detuning + grid.collective_coupling)
     return _RK4_IMAG_STABILITY / spectral_bound
 
 
@@ -332,7 +330,7 @@ def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
     roots = np.arange(n + 1)
     # Root j lies between lower[j] and upper[j]; the outer brackets are the
     # spectrum of diag(0, delta) widened by the norm of the coupling column.
-    reach = math.sqrt(float(np.sum(g2)))
+    reach = grid.collective_coupling
     lower = np.concatenate(([min(0.0, delta[0]) - reach], delta))
     upper = np.concatenate((delta, [max(0.0, delta[-1]) + reach]))
     mid = 0.5 * (lower + upper)

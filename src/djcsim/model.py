@@ -110,6 +110,16 @@ class ModeGrid:
         """Index of the resonant (zero-detuning) mode."""
         return (self.n - 1) // 2
 
+    @property
+    def max_detuning(self) -> float:
+        """max|delta|, the fastest free photon frequency of the comb."""
+        return float(np.max(np.abs(self.detunings)))
+
+    @property
+    def collective_coupling(self) -> float:
+        """G = sqrt(sum of squared couplings), the atom's coupling to the whole comb."""
+        return math.sqrt(float(np.sum(self.couplings ** 2)))
+
 
 def build_mode_grid(config: SystemConfig) -> ModeGrid:
     """Construct the symmetric mode grid for one cavity of the pair.

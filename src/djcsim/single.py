@@ -103,17 +103,6 @@ def flat_derivative(grid: ModeGrid) -> Callable[[np.ndarray], np.ndarray]:
     return deriv
 
 
-def deriv_single(state: SingleExcState, grid: ModeGrid) -> SingleExcState:
-    """Time derivative of a single-excitation state."""
-    if state.n != grid.n or len(state.cb) != grid.n:
-        raise ValueError(
-            f"mode count mismatch: state has {state.n}/{len(state.cb)} modes, "
-            f"grid has {grid.n}"
-        )
-    dvec = flat_derivative(grid)(state.to_vector())
-    return SingleExcState.from_vector(dvec, grid.n)
-
-
 def observables_single(state: SingleExcState) -> dict:
     """Populations of the atoms and fields, plus the total norm."""
     pop1 = abs(state.c1) ** 2

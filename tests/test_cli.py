@@ -661,10 +661,27 @@ def test_phase_rounding_warns_past_the_float64_window(tmp_path, capsys, argv, wa
     # at 1e17 and 7.2e-7 at 1e8
     out = tmp_path / "run.csv"
     assert main(argv + ["--out", str(out)]) == 0
-    lines = [line for line in capsys.readouterr().out.splitlines() if "warning" in line]
+    lines = [line for line in capsys.readouterr().out.splitlines() if "phases round" in line]
     assert len(lines) == int(warns)
     if warns:
         assert "--tmax" in lines[0]
+    assert out.exists()
+
+
+@pytest.mark.parametrize("argv,warns", [
+    pytest.param(["--modes", "19", "--tmax", "1e8", "--dt", "1000"], True, id="dt-1000"),
+    pytest.param(["--modes", "403"], True, id="modes-403"),
+    pytest.param(["--modes", "19"], False, id="modes-19"),
+])
+def test_kernel_warns_when_dt_aliases_the_trace(tmp_path, capsys, argv, warns):
+    # dtau * max|delta| against pi: 6.5e4 rad at --dt 1000; the default
+    # dtau = t_r/400 gives m * 2pi/400 with m = (n-1)/2, past pi from n = 403
+    out = tmp_path / "kernel.csv"
+    assert main(["kernel", *argv, "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "aliases" in line]
+    assert len(lines) == int(warns)
+    if warns:
+        assert lines[0].startswith("warning: --dt") and "pi/max|delta|" in lines[0]
     assert out.exists()
 
 
@@ -686,5 +703,5 @@ def test_readme_commands_stay_below_the_phase_warning(tmp_path, monkeypatch, com
         (frequency_window,) = calls
     else:
         run = cli._plan(args, "single-atoms")
-        frequency_window = (cli._comb_frequency(run.grid), run.t_max)
+        frequency_window = (run.grid.max_detuning + run.grid.collective_coupling, run.t_max)
     assert phase_rounding(*frequency_window) < 1e-12  # at most 2e-13

@@ -6,7 +6,6 @@ import pytest
 from djcsim import (
     SystemConfig,
     build_mode_grid,
-    deriv_double,
     expm_oracle,
     init_double,
     integrate,
@@ -73,7 +72,7 @@ def test_init_double_values():
 
 def test_deriv_at_initial_state(grid1):
     state = init_double(math.pi / 4, grid1)
-    dstate = deriv_double(state, grid1)
+    dstate = DoubleExcState.from_vector(flat_derivative(grid1)(state.to_vector()), 1)
     assert dstate.d00 == 0
     assert dstate.d11 == 0
     assert dstate.d2[0] == pytest.approx(1 / math.sqrt(2))
@@ -87,7 +86,7 @@ def test_deriv_two_photon_state(grid1):
         d2=np.zeros(1, dtype=complex), d3=np.zeros(1, dtype=complex),
         d4=np.array([[1.0 + 0j]]),
     )
-    dstate = deriv_double(state, grid1)
+    dstate = DoubleExcState.from_vector(flat_derivative(grid1)(state.to_vector()), 1)
     assert dstate.d2[0] == pytest.approx(-1.0)
     assert dstate.d3[0] == pytest.approx(-1.0)
     assert dstate.d4[0, 0] == 0
@@ -96,31 +95,22 @@ def test_deriv_two_photon_state(grid1):
 
 def test_zero_angle_state_never_evolves(grid3):
     state = init_double(0.0, grid3)
-    dstate = deriv_double(state, grid3)
-    assert np.all(dstate.to_vector() == 0)
+    assert np.all(flat_derivative(grid3)(state.to_vector()) == 0)
 
 
-def test_deriv_rejects_dimension_mismatch(grid1, grid3):
-    state = init_double(0.5, grid1)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        deriv_double(state, grid3)
+def test_from_vector_rejects_wrong_length(grid1, grid3):
+    vec = init_double(0.5, grid1).to_vector()
+    with pytest.raises(ValueError, match="does not match"):
+        DoubleExcState.from_vector(vec, grid3.n)
 
 
 def test_norm_derivative_vanishes(grid3):
     rng = np.random.default_rng(8)
+    deriv = flat_derivative(grid3)
     for _ in range(25):
-        state = random_state(grid3, rng)
-        overlap = np.vdot(state.to_vector(), deriv_double(state, grid3).to_vector())
+        vec = random_state(grid3, rng).to_vector()
+        overlap = np.vdot(vec, deriv(vec))
         assert abs(overlap.real) < 1e-14
-
-
-def test_flat_derivative_agrees_with_deriv_double(grid3):
-    rng = np.random.default_rng(13)
-    state = random_state(grid3, rng)
-    np.testing.assert_array_equal(
-        flat_derivative(grid3)(state.to_vector()),
-        deriv_double(state, grid3).to_vector(),
-    )
 
 
 def test_single_mode_trajectory_factorizes(grid1):

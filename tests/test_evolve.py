@@ -13,11 +13,13 @@ from djcsim import (
     SystemConfig,
     build_mode_grid,
     default_step,
+    detect_revivals,
     expm_oracle,
     init_atoms_entangled,
     init_double,
     init_fields_entangled,
     integrate,
+    retardation_time,
     run_double,
     run_single,
     stability_limit,
@@ -438,3 +440,39 @@ def test_exact_engine_has_no_stability_limit():
     assert np.array_equal(traj.times, sample_times(1.0, dt))
     with pytest.raises(ValueError, match="engine"):
         run_single(grid, state, t_max=1.0, engine="euler")
+
+
+@pytest.mark.parametrize("n,length_ratio,omega_a,theta,double_dies", [
+    (99, 3480.0, 4840.0, math.pi / 8, True),  # double 2.799, single 2.888
+    (99, 3480.0, 4840.0, math.pi / 4, True),  # 1.516 vs 2.976
+    (99, 3480.0, 4840.0, 1.05, True),  # 0.199 vs 2.899
+    (49, 1720.0, 11100.0, math.pi / 8, False),
+    (49, 1720.0, 11100.0, math.pi / 4, True),  # 1.570, single never dies
+    (49, 1720.0, 11100.0, 1.05, True),  # 0.879, single never dies
+    (99, 3480.0, 11100.0, math.pi / 8, False),
+    (99, 3480.0, 11100.0, math.pi / 4, False),
+    (99, 3480.0, 11100.0, 1.05, True),  # 0.439, single never dies
+])
+def test_doubly_excited_state_dies_first(n, length_ratio, omega_a, theta, double_dies):
+    # the paper's "more drastic" decay of cos|gg> + sin|ee>: with the CLI's
+    # default window, steps (halved for double) and stride, its first dead
+    # interval starts before that of cos|eg> + sin|ge>; never dying is +inf
+    config = SystemConfig(omega_a=omega_a, length_ratio=length_ratio, n_modes=n)
+    grid = build_mode_grid(config)
+    t_r = retardation_time(config)
+    t_max, dt = 5.0 * t_r, default_step(grid)
+
+    def stride(step):
+        return max(1, step_count(t_max, step) // 2000)
+
+    def first_dead_start(traj):
+        dead = detect_revivals(traj, predicted_period=t_r).dead_intervals
+        return dead[0][0] if dead else math.inf
+
+    double = first_dead_start(
+        run_double(grid, theta, t_max, dt=0.5 * dt, sample_stride=stride(0.5 * dt)))
+    single = first_dead_start(
+        run_single(grid, init_atoms_entangled(theta, grid), t_max, dt=dt,
+                   sample_stride=stride(dt), engine="exact"))
+    assert math.isfinite(double) == double_dies
+    assert double < single if double_dies else single == math.inf

@@ -12,6 +12,7 @@ def test_single_mode_grid_is_trivial():
     assert grid.detunings[0] == 0.0
     assert grid.couplings[0] == 1.0
     assert grid.central_index == 0
+    assert (grid.max_detuning, grid.collective_coupling) == (0.0, 1.0)
 
 
 def test_reference_spacing_and_span():
@@ -26,6 +27,9 @@ def test_reference_spacing_and_span():
     assert grid.detunings[0] == pytest.approx(-9 * expected_spacing)
     assert grid.detunings[-1] == pytest.approx(9 * expected_spacing)
     assert np.all(grid.couplings == 1.0)
+    # the comb's frequency envelope, max|delta| and G = sqrt(sum g_k^2)
+    assert grid.max_detuning == 9 * expected_spacing
+    assert grid.collective_coupling == math.sqrt(19)
 
 
 def test_sqrtfreq_profile_edge_coupling():

@@ -6,7 +6,6 @@ import pytest
 from djcsim import (
     SystemConfig,
     build_mode_grid,
-    deriv_single,
     init_atoms_entangled,
     init_double,
     init_fields_entangled,
@@ -92,10 +91,9 @@ def test_init_rejects_theta_out_of_range(grid1):
 
 
 def test_deriv_at_initial_atom_state(grid1):
-    state = init_atoms_entangled(math.pi / 4, grid1)
-    dstate = deriv_single(state, grid1)
-    assert dstate.c1 == 0
-    assert dstate.ca[0] == pytest.approx(-1 / math.sqrt(2))
+    dvec = flat_derivative(grid1)(init_atoms_entangled(math.pi / 4, grid1).to_vector())
+    assert dvec[0] == 0
+    assert dvec[2] == pytest.approx(-1 / math.sqrt(2))
 
 
 def test_deriv_single_photon_mode(grid19):
@@ -105,23 +103,19 @@ def test_deriv_single_photon_mode(grid19):
                            ca=np.zeros(19, dtype=complex),
                            cb=np.zeros(19, dtype=complex))
     state.ca[k] = 1.0
-    dstate = deriv_single(state, grid19)
-    assert dstate.ca[k] == pytest.approx(-1j * grid19.spacing)
-    assert dstate.c1 == pytest.approx(grid19.couplings[k])
-    assert dstate.c2 == 0
+    dvec = flat_derivative(grid19)(state.to_vector())
+    assert dvec[2 + k] == pytest.approx(-1j * grid19.spacing)
+    assert dvec[0] == pytest.approx(grid19.couplings[k])
+    assert dvec[1] == 0
 
 
 def test_deriv_zero_state_is_zero(grid19):
-    zero = SingleExcState(c1=0j, c2=0j,
-                          ca=np.zeros(19, dtype=complex),
-                          cb=np.zeros(19, dtype=complex))
-    dstate = deriv_single(zero, grid19)
-    assert np.all(dstate.to_vector() == 0)
+    assert np.all(flat_derivative(grid19)(np.zeros(2 + 2 * grid19.n, dtype=complex)) == 0)
 
 
 def test_deriv_matches_resonant_closed_form(grid1):
     # C1(t) = cos(theta) cos(t), Ca(t) = -cos(theta) sin(t) solves the
-    # resonant single-mode system; its derivative must match deriv_single.
+    # resonant single-mode system; its derivative must match flat_derivative.
     theta = math.pi / 5
     for t in (0.0, 0.3, 1.2):
         state = SingleExcState(
@@ -130,23 +124,24 @@ def test_deriv_matches_resonant_closed_form(grid1):
             ca=np.array([-math.cos(theta) * math.sin(t)], dtype=complex),
             cb=np.zeros(1, dtype=complex),
         )
-        dstate = deriv_single(state, grid1)
-        assert dstate.c1 == pytest.approx(-math.cos(theta) * math.sin(t), abs=1e-15)
-        assert dstate.ca[0] == pytest.approx(-math.cos(theta) * math.cos(t), abs=1e-15)
+        dvec = flat_derivative(grid1)(state.to_vector())
+        assert dvec[0] == pytest.approx(-math.cos(theta) * math.sin(t), abs=1e-15)
+        assert dvec[2] == pytest.approx(-math.cos(theta) * math.cos(t), abs=1e-15)
 
 
-def test_deriv_rejects_mode_count_mismatch(grid19, grid1):
-    state = init_atoms_entangled(0.3, grid1)
-    with pytest.raises(ValueError, match="mode count"):
-        deriv_single(state, grid19)
+def test_from_vector_rejects_wrong_length(grid19, grid1):
+    vec = init_atoms_entangled(0.3, grid1).to_vector()
+    with pytest.raises(ValueError, match="does not match"):
+        SingleExcState.from_vector(vec, grid19.n)
 
 
 def test_norm_derivative_vanishes(grid19):
     # the generator is anti-Hermitian: Re<state, d state/dt> = 0
     rng = np.random.default_rng(42)
+    deriv = flat_derivative(grid19)
     for _ in range(25):
-        state = random_state(grid19, rng)
-        overlap = np.vdot(state.to_vector(), deriv_single(state, grid19).to_vector())
+        vec = random_state(grid19, rng).to_vector()
+        overlap = np.vdot(vec, deriv(vec))
         assert abs(overlap.real) < 1e-14
 
 
@@ -155,19 +150,10 @@ def test_cavity_blocks_do_not_mix(grid19):
     state = random_state(grid19, rng)
     other = SingleExcState(c1=state.c1, c2=state.c2 + 0.7j,
                            ca=state.ca.copy(), cb=state.cb + 0.2)
-    d1 = deriv_single(state, grid19)
-    d2 = deriv_single(other, grid19)
-    assert d1.c1 == d2.c1
-    np.testing.assert_array_equal(d1.ca, d2.ca)
-
-
-def test_flat_derivative_agrees_with_deriv_single(grid19):
-    rng = np.random.default_rng(11)
-    state = random_state(grid19, rng)
-    np.testing.assert_array_equal(
-        flat_derivative(grid19)(state.to_vector()),
-        deriv_single(state, grid19).to_vector(),
-    )
+    deriv = flat_derivative(grid19)
+    d1, d2 = deriv(state.to_vector()), deriv(other.to_vector())
+    assert d1[0] == d2[0]  # c1
+    np.testing.assert_array_equal(d1[2:2 + grid19.n], d2[2:2 + grid19.n])  # ca
 
 
 def test_observables():
