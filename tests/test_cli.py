@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import djcsim
-from djcsim import (IntegrationError, SystemConfig, build_mode_grid, first_kernel_echo,
-                    retardation_time)
+from djcsim import (IntegrationError, SystemConfig, build_mode_grid, default_step,
+                    first_kernel_echo, memory_kernel, retardation_time, run_double)
 from djcsim.cli import main, parse_number
+from djcsim.evolve import step_count
+from djcsim.revivals import tau_count
 
 SINGLE_HEADER = "t,c_ab,pop1,pop2,pop_cav_a,pop_cav_b,norm,re_c1,im_c1,re_c2,im_c2"
 DOUBLE_HEADER = "t,c_ab,p11,p2,p3,p4,p00,norm"
@@ -196,12 +198,13 @@ def test_kernel_options_are_the_ones_it_reads():
                        "--tmax", "--dt", "--out"}
 
 
-def test_csv_rows_are_the_repr_of_each_value(tmp_path):
+def test_csv_rows_are_17_significant_digits_of_each_value(tmp_path):
     import djcsim.cli as cli
 
     rows = 2500  # more than two blocks
     times = np.arange(rows) * 0.1
-    special = np.array([-0.0, 1e-300, math.inf, -math.inf, math.nan, 0.1 + 0.2])
+    special = np.array([-0.0, 1e-300, math.inf, -math.inf, math.nan, 0.1 + 0.2,
+                        5e-324, 1.7976931348623157e308])
     records = {
         "x": np.resize(special, rows),
         "y": np.sin(times) * 1e-17,
@@ -209,10 +212,61 @@ def test_csv_rows_are_the_repr_of_each_value(tmp_path):
     }
     out = tmp_path / "rows.csv"
     cli._write_csv(str(out), "t", times, records)
+    columns = [times, *records.values()]
     expected = "t,x,y,k\n" + "".join(
-        ",".join(repr(float(v)) for v in (times[i], *(c[i] for c in records.values())))
-        + "\n" for i in range(rows))
+        ",".join("%.17g" % float(c[i]) for c in columns) + "\n" for i in range(rows))
     assert out.read_bytes() == expected.encode("ascii")
+    # every cell reads back to the float64 it was written from, -0.0 and NaN included
+    header, cells = read_csv(out)
+    for name, written in zip(header, columns):
+        want = np.asarray(written, dtype=float)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(cells[name]), nan)
+        assert cells[name][~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_double_csv_holds_run_double_exactly(tmp_path):
+    out = tmp_path / "double.csv"
+    assert main(["double", "--modes", "49", "--length-ratio", "1720", "--omega-a", "11100",
+                 "--theta", "1.05", "--out", str(out)]) == 0
+    config = SystemConfig(omega_a=11100.0, length_ratio=1720.0, n_modes=49)
+    grid = build_mode_grid(config)
+    # the CLI's defaults for double: five round trips, half the RK4 step,
+    # a stride leaving about 2000 samples
+    t_max = 5.0 * retardation_time(config)
+    dt = 0.5 * default_step(grid)
+    traj = run_double(grid, 1.05, t_max, dt=dt,
+                      sample_stride=max(1, step_count(t_max, dt) // 2000))
+    header, cols = read_csv(out)
+    assert header == DOUBLE_HEADER.split(",")
+    assert cols["t"].tobytes() == traj.times.tobytes()
+    for name in header[1:]:
+        assert cols[name].tobytes() == traj.records[name].tobytes(), name
+
+
+def test_kernel_csv_holds_memory_kernel_exactly(tmp_path):
+    out = tmp_path / "kernel.csv"
+    assert main(["kernel", "--modes", "19", "--out", str(out)]) == 0
+    config = SystemConfig(omega_a=4840.0, length_ratio=670.0, n_modes=19)
+    grid = build_mode_grid(config)
+    # the CLI's kernel window: three round trips in steps of t_r / 400
+    t_r = retardation_time(config)
+    taus = np.arange(tau_count(3.0 * t_r, t_r / 400.0)) * (t_r / 400.0)
+    values = memory_kernel(grid, taus)
+    header, cols = read_csv(out)
+    assert header == KERNEL_HEADER.split(",")
+    for name, want in (("tau", taus), ("re_k", values.real), ("im_k", values.imag),
+                       ("abs_k", np.abs(values))):
+        assert cols[name].tobytes() == want.tobytes(), name
+
+
+def test_sweep_summary_holds_the_swept_values_exactly(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--axis", "theta", "--values", "0.7,pi/8,pi/6", "--modes", "1",
+                 "--out", str(out)]) == 0
+    lines = (tmp_path / "s_summary.csv").read_text().splitlines()[1:]
+    got = np.array([float(line.split(",")[0]) for line in lines])
+    assert got.tobytes() == np.array([0.7, math.pi / 8, math.pi / 6]).tobytes()
 
 
 def test_single_run_keeps_the_traced_rk4_layers(tmp_path, monkeypatch):

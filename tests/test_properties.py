@@ -1,8 +1,11 @@
 """Property tests of the exact engine over random grids, angles and states,
 of the RK4 reference stack on small, slow grids, and of the revival
-detector against a sample-by-sample loop and numpy's median."""
+detector against a sample-by-sample loop and numpy's median, and of the CSV
+writer's read-back."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ from djcsim import (
     run_double,
     run_single,
 )
+from djcsim.cli import _CSV_BLOCK, _write_csv
 from djcsim.evolve import comb_spectrum
 from djcsim.revivals import _median
 from djcsim.single import SingleExcState
@@ -179,3 +183,24 @@ def test_median_is_numpys(values):
     with np.errstate(over="ignore", invalid="ignore"):
         expected, got = float(np.median(x)), _median(x)
     assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.floats() | st.sampled_from((-0.0, 5e-324, 2.2250738585072009e-308,
+                                               1.7976931348623157e308)),
+                min_size=1, max_size=200),
+       st.integers(1, 4), st.integers(_CSV_BLOCK + 1, 3 * _CSV_BLOCK))
+def test_csv_cells_read_back_bit_for_bit(values, columns, rows):
+    table = np.resize(np.array(values), (columns + 1, rows))
+    records = {f"c{i}": col for i, col in enumerate(table[1:])}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        _write_csv(path, "t", table[0], records)
+        with open(path, encoding="ascii") as handle:
+            lines = handle.read().splitlines()
+    assert lines[0] == ",".join(["t", *records])
+    got = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]]).T
+    assert got.shape == table.shape
+    nan = np.isnan(table)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == table[~nan].tobytes()
