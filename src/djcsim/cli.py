@@ -30,6 +30,7 @@ that fails its check).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -67,8 +68,8 @@ _SWEEP_DESTS = {"theta": "theta", "n_modes": "modes", "length_ratio": "length_ra
 MAX_SAMPLES = 10 ** 6
 #: Most steps one RK4 run may take.
 MAX_RK4_STEPS = 10 ** 7
-#: Most modes per cavity for the exact engine, whose spectrum takes
-#: O(n^2) memory (about 0.2 GiB at the limit).
+#: Most modes per cavity for the exact engine, whose spectrum peaks at
+#: about four (n+1) x n float64 arrays (122 MiB at n = 1999).
 MAX_EXACT_MODES = 2001
 #: Below this Gamma * t_r the atom has not decayed by the first round trip.
 _COLLAPSE_REGIME = 5.0
@@ -89,7 +90,10 @@ def parse_number(text: str) -> float:
     if match:
         value = math.pi * float(match.group(1) or 1.0)
         if match.group(2):
-            value /= float(match.group(2))
+            denominator = float(match.group(2))
+            if denominator == 0.0:
+                raise ValueError(f"zero denominator in {text!r}")
+            value /= denominator
         return value
     return float(text)
 
@@ -154,6 +158,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
                           "cos/sin exchanged (default printed)")
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="djcsim",
@@ -171,6 +176,7 @@ def _build_parser():
 
     double = commands.add_parser("double", help="one excitation per cavity")
     _add_run_flags(double)
+    double.set_defaults(initial="double")
     subs["double"] = double
 
     kernel = commands.add_parser("kernel", help="memory kernel trace")
@@ -293,9 +299,10 @@ class _Run(NamedTuple):
     engine: str  # "exact" or "rk4"
 
 
-def _plan(args: argparse.Namespace, scenario: str) -> _Run:
+def _plan(args: argparse.Namespace) -> _Run:
     """Build and check one run, the work limits included, without running it
     (``run_single`` checks the RK4 stability limit before its first step)."""
+    scenario = "double" if args.initial == "double" else f"single-{args.initial}"
     swapped = args.angle_convention == "swapped"
     config = _make_config(args, theta=math.pi / 2 - args.theta if swapped else args.theta)
     # Only the single subcommand steps RK4: the benchmark's traced-layer
@@ -400,7 +407,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
     stem, ext = os.path.splitext(args.out or "djcsim_sweep.csv")
     ext = ext or ".csv"
     dest = _SWEEP_DESTS[args.axis]
-    scenario = "double" if args.initial == "double" else f"single-{args.initial}"
 
     # Build and check every point, work limits included, before the first
     # run writes a file.
@@ -411,7 +417,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"n_modes value must be an integer, got {value!r}")
         setattr(run_args, dest, int(value) if dest == "modes" else value)
         run_args.out = f"{stem}_{args.axis}_{index:02d}{ext}"
-        points.append((value, _plan(run_args, scenario)))
+        points.append((value, _plan(run_args)))
 
     reports = []
     for value, run in points:
@@ -438,22 +444,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, subs = _build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            tokens = _config_tokens(args.config, subs[args.command])
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        # File options go first, so a command-line flag (parsed later) wins.
-        args = parser.parse_args(argv[:1] + tokens + argv[1:])
-
     try:
+        if args.config:
+            # File options go first, so a command-line flag (parsed later) wins.
+            tokens = _config_tokens(args.config, subs[args.command])
+            args = parser.parse_args(argv[:1] + tokens + argv[1:])
         if args.command == "kernel":
             return _run_kernel(args)
         if args.command == "sweep":
             return _run_sweep(args)
-        scenario = "double" if args.command == "double" else f"single-{args.initial}"
-        _run_trajectory(_plan(args, scenario))
+        _run_trajectory(_plan(args))
         return 0
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

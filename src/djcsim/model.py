@@ -66,6 +66,12 @@ class SystemConfig:
                 f"coupling_profile must be one of {COUPLING_PROFILES}, "
                 f"got {self.coupling_profile!r}"
             )
+        # retardation_time is 2 pi / spacing: a spacing below about 3.5e-308
+        # (0 and the subnormals included) leaves no finite round trip
+        if not (self.mode_spacing > 0.0 and 2.0 * math.pi / self.mode_spacing < math.inf):
+            raise ValueError(
+                f"omega_a={self.omega_a!r} and length_ratio={self.length_ratio!r} give a "
+                f"mode spacing of {self.mode_spacing!r}, too small for a finite round trip")
         # The lowest mode frequency omega_a - ((n-1)/2) * spacing must stay
         # positive, otherwise the grid would contain unphysical modes.
         half_span = (self.n_modes - 1) // 2

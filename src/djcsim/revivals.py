@@ -94,17 +94,21 @@ def first_kernel_echo(grid: ModeGrid, dtau: float) -> float:
 
 def first_rephasing_maximum(taus: np.ndarray, magnitudes: np.ndarray) -> float:
     """First local maximum of |K| sampled on the uniform grid ``taus``
-    (starting at 0) that reaches at least half of |K(0)|.
+    (starting at 0) that reaches at least half of |K(0)|, after |K| has
+    first fallen below that half (the end of the tau = 0 lobe).  Raises
+    ``ValueError`` if it never falls below half, as on a single-mode grid.
 
     This is the scan behind ``first_kernel_echo``, for a caller that has
     evaluated the kernel already.
     """
     mag = np.asarray(magnitudes)
     threshold = 0.5 * mag[0]
-    for i in range(1, len(mag) - 1):
+    below = np.flatnonzero(mag < threshold)
+    if not below.size:
+        raise ValueError("|K| never falls below half of |K(0)|: no tau = 0 lobe to leave")
+    for i in range(below[0] + 1, len(mag) - 1):
         if mag[i] >= threshold and mag[i] >= mag[i - 1] and mag[i] >= mag[i + 1]:
-            if i > 1:  # skip the shoulder of the tau = 0 lobe
-                return float(taus[i])
+            return float(taus[i])
     raise ValueError("no rephasing maximum among the sampled taus")
 
 

@@ -35,6 +35,34 @@ def test_parse_number():
     assert parse_number("3pi/8") == pytest.approx(3 * math.pi / 8)
     with pytest.raises(ValueError):
         parse_number("two")
+    for text in ("pi/0", "3pi/0.0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_number(text)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["single", "--theta", "pi/0"], "--theta"),
+    (["sweep", "--axis", "theta", "--values", "pi/0"], "zero denominator"),
+    # a mode spacing that underflows leaves no finite round trip
+    (["single", "--modes", "1", "--omega-a", "1e-300", "--length-ratio", "1e300"],
+     "length_ratio"),
+    (["double", "--modes", "3", "--omega-a", "1e-300", "--length-ratio", "1e300"],
+     "length_ratio"),
+    (["kernel", "--modes", "1", "--omega-a", "1e-300", "--length-ratio", "1e300"],
+     "length_ratio"),
+    # the first point is fine; the second underflows and stops the sweep
+    # before the first point writes
+    (["sweep", "--axis", "length_ratio", "--values", "670,1e300", "--modes", "1",
+      "--omega-a", "1e-300"], "omega_a"),
+])
+def test_unusable_numbers_exit_2_before_writing(tmp_path, capsys, argv, named):
+    try:
+        code = main(argv + ["--out", str(tmp_path / "run.csv")])
+    except SystemExit as exc:  # argparse rejects a flag value itself
+        code = exc.code
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_single_mode_run_matches_closed_form(tmp_path):
@@ -756,6 +784,6 @@ def test_readme_commands_stay_below_the_phase_warning(tmp_path, monkeypatch, com
         assert cli._run_kernel(args) == 0
         (frequency_window,) = calls
     else:
-        run = cli._plan(args, "single-atoms")
+        run = cli._plan(args)
         frequency_window = (run.grid.max_detuning + run.grid.collective_coupling, run.t_max)
     assert phase_rounding(*frequency_window) < 1e-12  # at most 2e-13

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,6 +353,24 @@ def test_comb_spectrum_matches_eigvalsh(n):
     assert spectrum.orthogonality <= 1e-12
     vectors = np.vstack([spectrum.atom, spectrum.photon.T])
     np.testing.assert_allclose(vectors.T @ vectors, np.eye(n + 1), rtol=0.0, atol=1e-12)
+    # every row of A V - V Lambda, the photon rows the run no longer checks too
+    lam = spectrum.eigenvalues
+    rows = np.max(np.abs(arrow @ vectors - vectors * lam), axis=1)
+    assert np.all(rows <= 1e-12 * (1.0 + np.max(np.abs(lam))))
+
+
+def test_comb_spectrum_peak_memory():
+    n = 499
+    grid = build_mode_grid(reference_config(n, 3480.0, "sqrtfreq"))
+    tracemalloc.start()
+    try:
+        comb_spectrum(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about four (n+1) x n float64 arrays: the buffer, the overlap and
+    # their temporaries
+    assert peak <= 5 * (n + 1) * n * 8
 
 
 def test_comb_spectrum_reports_a_nan_grid():

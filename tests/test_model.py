@@ -93,6 +93,15 @@ def test_rejects_modes_below_zero_frequency():
         SystemConfig(omega_a=10.0, length_ratio=5.0, n_modes=11)
 
 
+@pytest.mark.parametrize("omega_a,length_ratio", [(1e-300, 1e300), (1e-300, 1e9)])
+def test_rejects_a_spacing_without_a_finite_round_trip(omega_a, length_ratio):
+    # spacing 0.0, then a subnormal spacing: 2 pi / spacing is not finite
+    with pytest.raises(ValueError, match="omega_a.*length_ratio"):
+        SystemConfig(omega_a=omega_a, length_ratio=length_ratio)
+    # a spacing of 1e-307 still gives a finite round trip
+    assert math.isfinite(retardation_time(SystemConfig(omega_a=1e-300, length_ratio=1e7)))
+
+
 @pytest.mark.parametrize(
     "kwargs,field",
     [

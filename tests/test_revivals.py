@@ -114,6 +114,13 @@ def test_first_kernel_echo_checks_the_step(dtau):
         first_kernel_echo(uniform_grid(19), dtau)
 
 
+def test_first_kernel_echo_needs_a_comb():
+    # one mode: |K| = g^2 never leaves its tau = 0 lobe, so there is no echo
+    grid = build_mode_grid(SystemConfig(omega_a=4840.0, length_ratio=670.0, n_modes=1))
+    with pytest.raises(ValueError, match="never falls below half"):
+        first_kernel_echo(grid, 0.01)
+
+
 def test_predict_revival_times():
     cfg = SystemConfig(omega_a=4840.0, length_ratio=670.0, n_modes=19)
     times = predict_revival_times(cfg, 3)
