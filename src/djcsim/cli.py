@@ -35,7 +35,7 @@ import math
 import os
 import re
 import sys
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -203,10 +203,12 @@ def _make_config(args: argparse.Namespace, **theta) -> SystemConfig:
                         n_modes=args.modes, coupling_profile=args.profile, **theta)
 
 
-def _default_tmax(config: SystemConfig) -> float:
+def _default_periods(config: SystemConfig) -> Tuple[int, float]:
+    """The default window as a count of periods: two Rabi cycles of the
+    resonant mode for one mode, else five round trips."""
     if config.n_modes == 1:
-        return 2.0 * 2.0 * math.pi  # two Rabi cycles of the resonant mode
-    return 5.0 * retardation_time(config)
+        return 2, 2.0 * math.pi
+    return 5, retardation_time(config)
 
 
 def _format(value: float) -> str:
@@ -270,10 +272,14 @@ def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport
     print(f"wrote {out_path}")
 
 
-def _window(args: argparse.Namespace, t_max: float, dt: float, stride=None) -> tuple:
-    """--tmax and --dt, or the subcommand's defaults ``t_max`` and ``dt``,
-    checked together with --stride where the subcommand takes one."""
-    t_max = t_max if args.tmax is None else args.tmax
+def _window(args: argparse.Namespace, periods: int, period: float, dt: float,
+            stride=None) -> tuple:
+    """--tmax and --dt, or the subcommand's defaults ``periods * period`` and
+    ``dt``, checked together with --stride where the subcommand takes one."""
+    t_max = periods * period if args.tmax is None else args.tmax
+    if args.tmax is None and t_max == math.inf:
+        raise ValueError(f"the default --tmax of {periods} round trips of t_r={period:.3g} "
+                         f"overflows; raise --omega-a, lower --length-ratio or pass --tmax")
     if not 0 < t_max < math.inf:
         raise ValueError(f"tmax must be positive and finite, got {t_max!r}")
     dt = dt if args.dt is None else args.dt
@@ -315,7 +321,7 @@ def _plan(args: argparse.Namespace) -> _Run:
         raise ValueError(f"{config.n_modes} modes exceed the exact engine's limit of "
                          f"{MAX_EXACT_MODES}; lower --modes")
     grid = build_mode_grid(config)
-    t_max, dt = _window(args, _default_tmax(config),
+    t_max, dt = _window(args, *_default_periods(config),
                         default_step(grid) * (0.5 if scenario == "double" else 1.0), args.stride)
     steps = step_count(t_max, dt)
     stride = max(1, steps // 2000) if args.stride is None else args.stride
@@ -365,7 +371,7 @@ def _run_kernel(args: argparse.Namespace) -> int:
     config = _make_config(args)
     grid = build_mode_grid(config)
     t_r = retardation_time(config)
-    tau_max, dtau = _window(args, 3.0 * t_r, t_r / 400.0)
+    tau_max, dtau = _window(args, 3, t_r, t_r / 400.0)
     count = tau_count(tau_max, dtau)
     _check_samples(count, "raise --dt or lower --tmax")
     taus = np.arange(count) * dtau

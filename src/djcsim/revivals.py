@@ -106,10 +106,12 @@ def first_rephasing_maximum(taus: np.ndarray, magnitudes: np.ndarray) -> float:
     below = np.flatnonzero(mag < threshold)
     if not below.size:
         raise ValueError("|K| never falls below half of |K(0)|: no tau = 0 lobe to leave")
-    for i in range(below[0] + 1, len(mag) - 1):
-        if mag[i] >= threshold and mag[i] >= mag[i - 1] and mag[i] >= mag[i + 1]:
-            return float(taus[i])
-    raise ValueError("no rephasing maximum among the sampled taus")
+    inner = mag[1:-1]  # inner[j] is mag[j + 1]
+    maxima = np.flatnonzero(((inner >= threshold) & (inner >= mag[:-2])
+                             & (inner >= mag[2:]))[below[0]:])
+    if not maxima.size:
+        raise ValueError("no rephasing maximum among the sampled taus")
+    return float(taus[below[0] + 1 + maxima[0]])
 
 
 def predict_revival_times(config: SystemConfig, count: int) -> List[float]:
@@ -138,6 +140,10 @@ def detect_revivals(traj: Trajectory, predicted_period: float = math.nan) -> Rev
 
     The gap is 20 median sample spacings, capped at 1/20 of the trace span
     so coarsely sampled traces still resolve their dead stretches.
+
+    Intervals, peaks and onsets are located by sample index, in time linear
+    in the number of samples.  The index windows are the time windows above
+    when the times strictly increase, as ``sample_times`` makes them.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
@@ -156,10 +162,9 @@ def detect_revivals(traj: Trajectory, predicted_period: float = math.nan) -> Rev
     if len(first):
         split = np.concatenate(([True], ~(t[first[1:]] - t[last[:-1]] < gap)))
         first, last = first[split], last[np.concatenate((split[1:], [True]))]
-    report.dead_intervals = [
-        (start, end) for start, end in zip(t[first].tolist(), t[last].tolist())
-        if end - start >= gap
-    ]
+        kept = t[last] - t[first] >= gap
+        first, last = first[kept], last[kept]
+    report.dead_intervals = list(zip(t[first].tolist(), t[last].tolist()))
 
     above = c > FLOOR
     up = c[1:] > c[:-1]
@@ -177,19 +182,21 @@ def detect_revivals(traj: Trajectory, predicted_period: float = math.nan) -> Rev
                 peaks[-1] = i
         else:
             peaks.append(i)
-    # sampling-jitter blips inside a merged dead interval are not revivals
-    peaks = [
-        i for i in peaks
-        if not any(start <= t[i] <= end for start, end in report.dead_intervals)
-    ]
-    dead_ends = [end for _, end in report.dead_intervals]
-    previous_peak = -math.inf
-    for idx in peaks:
-        onset = _event_onset(t, c, idx, dead_ends, previous_peak)
-        report.revivals.append(
-            RevivalEvent(onset=onset, peak_time=float(t[idx]), peak_value=float(c[idx]))
-        )
-        previous_peak = float(t[idx])
+    # The last dead sample at or before each peak (-1 if none): a peak at or
+    # before it is a sampling-jitter blip inside a merged dead interval.
+    last_dead = np.concatenate(([-1], last))[np.searchsorted(first, peaks, "right")]
+    alive = np.flatnonzero(above)
+    previous = -1
+    for peak, dead in zip(peaks, last_dead.tolist()):
+        if peak <= dead:
+            continue
+        if dead > previous:  # first sample back above the floor
+            onset = alive[np.searchsorted(alive, dead, "right")]
+        else:  # local minimum since the previous peak
+            onset = previous + 1 + np.argmin(c[previous + 1:peak + 1])
+        report.revivals.append(RevivalEvent(
+            onset=float(t[onset]), peak_time=float(t[peak]), peak_value=float(c[peak])))
+        previous = peak
     return report
 
 
@@ -223,28 +230,3 @@ def _median(values: np.ndarray) -> float:
     lo, hi = (len(values) - 1) // 2, len(values) // 2
     part = np.partition(values, [lo, hi, -1])  # NaNs sort last
     return math.nan if math.isnan(part[-1]) else float(np.mean(part[lo:hi + 1]))
-
-
-def _event_onset(
-    t: np.ndarray,
-    c: np.ndarray,
-    peak_idx: int,
-    dead_ends: List[float],
-    previous_peak: float,
-) -> float:
-    """Onset of the event peaking at peak_idx (see detect_revivals)."""
-    peak_time = float(t[peak_idx])
-    # Most recent dead-interval exit between the previous peak and this one.
-    exit_time = None
-    for end in dead_ends:
-        if previous_peak < end < peak_time:
-            exit_time = end
-    if exit_time is not None:
-        after = np.flatnonzero((t > exit_time) & (c > FLOOR))
-        if len(after):
-            return float(t[after[0]])
-    # Otherwise: local minimum since the previous peak (or the trace start).
-    window = np.flatnonzero((t > previous_peak) & (t <= peak_time))
-    if len(window) == 0:
-        return peak_time
-    return float(t[window[np.argmin(c[window])]])

@@ -432,6 +432,10 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     # counts of about 1e302 are printed in %.3g form
     (["double", "--modes", "3", "--tmax", "1e300", "--stride", "1"], ["e+302 samples"]),
     (["single", "--modes", "3", "--tmax", "1e300"], ["e+302 RK4 steps"]),
+    # a default window that overflows names the grid flags, not a --tmax never passed
+    *[([command, "--modes", "3", "--omega-a", "1e-300", "--length-ratio", "1e7"],
+       ["default --tmax", "overflows", "--omega-a", "--length-ratio", "--tmax"])
+      for command in ("single", "double", "kernel")],
     # the window boundaries of every subcommand
     (["single", "--modes", "3", "--tmax", "0"], ["tmax"]),
     (["double", "--modes", "3", "--tmax", "-1"], ["tmax"]),

@@ -127,9 +127,11 @@ def test_comb_spectrum_checks_hold(grid):
 
 
 def loop_dead_and_peaks(t, c, floor=1e-6):
-    """The detector's dead intervals and revival peak times, found sample by
-    sample: runs at or below the floor joined across blips shorter than the
-    gap, and local maxima merged within the gap."""
+    """The detector's dead intervals, revival peak times and onsets, found
+    sample by sample: runs at or below the floor joined across blips shorter
+    than the gap, local maxima merged within the gap, and each onset the
+    first sample above the floor after the last dead interval ending between
+    the previous peak and this one, else the minimum since the previous peak."""
     n = len(c)
     gap = min(20.0 * float(np.median(np.diff(t))), (t[-1] - t[0]) / 20.0) if n > 1 else 0.0
     runs, i = [], 0
@@ -147,7 +149,7 @@ def loop_dead_and_peaks(t, c, floor=1e-6):
             i += 1
     dead = [(float(t[i]), float(t[j])) for i, j in runs if t[j] - t[i] >= gap]
     if not any(c[i] > floor and c[i] > c[i - 1] for i in range(1, n)):
-        return dead, []
+        return dead, [], []
     peaks = []
     for i in range(n):
         if c[i] > floor and (i == 0 or c[i] > c[i - 1]) and (i == n - 1 or c[i] >= c[i + 1]):
@@ -156,11 +158,30 @@ def loop_dead_and_peaks(t, c, floor=1e-6):
                     peaks[-1] = i
             else:
                 peaks.append(i)
-    return dead, [float(t[i]) for i in peaks if not any(a <= t[i] <= b for a, b in dead)]
+    peaks = [i for i in peaks if not any(a <= t[i] <= b for a, b in dead)]
+    onsets, previous = [], -math.inf
+    for i in peaks:
+        exits = [b for _, b in dead if previous < b < t[i]]
+        if exits:
+            onset = next(j for j in range(n) if t[j] > exits[-1] and c[j] > floor)
+        else:
+            # np.argmin's rule: the first NaN, else the first smallest value
+            window = [j for j in range(n) if previous < t[j] <= t[i]]
+            onset = window[0]
+            for j in window:
+                if math.isnan(c[j]):
+                    onset = j
+                    break
+                if c[j] < c[onset]:
+                    onset = j
+        onsets.append(float(t[onset]))
+        previous = t[i]
+    return dead, [float(t[i]) for i in peaks], onsets
 
 
-# values at and around the floor, ties and plateaus
-levels = st.sampled_from((0.0, 5e-7, 1e-6, 2e-6, 0.1, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0)
+# values at and around the floor, ties, plateaus and NaN (neither dead nor alive)
+levels = (st.sampled_from((0.0, 5e-7, 1e-6, 2e-6, 0.1, 0.25, 0.5, 1.0, math.nan))
+          | st.floats(0.0, 1.0))
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -170,9 +191,10 @@ def test_detector_matches_the_sample_loop(samples):
     t = np.cumsum([step for step, _ in samples])
     c = np.array([level for _, level in samples])
     report = detect_revivals(Trajectory(times=t, records={"c_ab": c}))
-    dead, peak_times = loop_dead_and_peaks(t, c)
+    dead, peak_times, onsets = loop_dead_and_peaks(t, c)
     assert report.dead_intervals == dead
     assert [ev.peak_time for ev in report.revivals] == peak_times
+    assert [ev.onset for ev in report.revivals] == onsets
 
 
 @settings(max_examples=300, deadline=None, database=None)

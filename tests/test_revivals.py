@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -224,6 +225,9 @@ _T = np.linspace(0.0, 10.0, 101)
     [
         pytest.param(_T, np.where(_T < 3.0, 0.0, np.sin(_T - 3.0) ** 2), [(0.0, 3.0)],
                      [3.1, 6.1, 9.3], [4.6, 7.7, 10.0], id="dead-at-start"),
+        # a NaN sample is neither dead nor alive: the onset is the live one after it
+        pytest.param(_T, np.concatenate((np.zeros(30), [math.nan], np.sin(_T[31:] - 3.0) ** 2)),
+                     [(0.0, 2.9)], [3.1, 6.1, 9.3], [4.6, 7.7, 10.0], id="dead-then-nan"),
         pytest.param(_T, np.where(_T > 7.0, 0.0, np.cos(_T) ** 2 + 0.01), [(7.1, 10.0)],
                      [0.0, 1.6, 4.7], [0.0, 3.1, 6.3], id="dead-at-end"),
         # a plateau peaks at its first sample
@@ -241,6 +245,18 @@ def test_detector_edge_cases(times, conc, dead, onsets, peak_times):
     assert report.dead_intervals == [pytest.approx(span, abs=1e-12) for span in dead]
     assert [ev.onset for ev in report.revivals] == pytest.approx(onsets, abs=1e-12)
     assert [ev.peak_time for ev in report.revivals] == pytest.approx(peak_times, abs=1e-12)
+
+
+def test_detector_is_linear_in_the_samples():
+    # peaks at 0, pi, ..., 6000 pi and a dead interval between each two, in
+    # 300,000 samples: a scan of the whole trace per peak takes over 10 s
+    t = np.linspace(0.0, 6000.0 * math.pi, 300_000)
+    c = np.maximum(0.0, np.cos(t) ** 2 - 0.5)
+    start = time.perf_counter()
+    report = detect_revivals(trace(t, c))
+    assert time.perf_counter() - start < 2.0
+    assert len(report.revivals) == 6001
+    assert len(report.dead_intervals) == 6000
 
 
 def test_detector_rejects_empty_and_missing_column():
