@@ -71,6 +71,10 @@ MAX_RK4_STEPS = 10 ** 7
 #: Most modes per cavity for the exact engine, whose spectrum peaks at
 #: about four (n+1) x n float64 arrays (122 MiB at n = 1999).
 MAX_EXACT_MODES = 2001
+#: Least mode spacing of a multimode grid for the exact engine: its
+#: eigenvector components g_k / (lambda - delta_k) grow as 1 / spacing, and
+#: their squares overflow from a spacing of about 1e-154 down (n = 3 to 2001).
+MIN_EXACT_SPACING = 1e-150
 #: Below this Gamma * t_r the atom has not decayed by the first round trip.
 _COLLAPSE_REGIME = 5.0
 #: Phase rounding (radians) above which a run warns: the column tolerance.
@@ -323,6 +327,12 @@ def _plan(args: argparse.Namespace) -> _Run:
     grid = build_mode_grid(config)
     t_max, dt = _window(args, *_default_periods(config),
                         default_step(grid) * (0.5 if scenario == "double" else 1.0), args.stride)
+    # one mode has no gap between poles: its eigenvector components are +-1
+    if not rk4 and config.n_modes > 1 and config.mode_spacing < MIN_EXACT_SPACING:
+        raise ValueError(f"--omega-a {config.omega_a:g} over --length-ratio "
+                         f"{config.length_ratio:g} gives a mode spacing of "
+                         f"{config.mode_spacing:.3g}, below the exact engine's limit of "
+                         f"{MIN_EXACT_SPACING:g}; raise --omega-a or lower --length-ratio")
     steps = step_count(t_max, dt)
     stride = max(1, steps // 2000) if args.stride is None else args.stride
     if rk4 and steps > MAX_RK4_STEPS:

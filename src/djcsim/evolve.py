@@ -11,7 +11,8 @@ The two cavities are independent copies of one atom coupled to one comb of
 modes, so every amplitude the run drivers record follows from that single
 (n+1)-dimensional problem.  Its generator is, up to the photon gauge factor
 i, the real arrowhead [[0, g], [g, diag(delta)]], whose eigenpairs
-``comb_spectrum`` takes from the secular equation.  The exact engine
+``comb_spectrum`` takes from the secular equation, solved by steps of a
+rational model inside bisection brackets.  The exact engine
 evaluates the atom amplitudes from them at the sample times, with no step
 and no stepping error.  ``run_double`` always uses it; ``run_single`` takes
 ``engine="exact"`` or ``engine="rk4"``.
@@ -300,7 +301,8 @@ class CombSpectrum:
     so both share the eigenvalues.  ``residual`` is the atom row of
     A V - V Lambda, max_j |sum_k g_k photon[j, k] - lam_j atom[j]| (its
     photon rows vanish by construction of ``photon``), and ``orthogonality``
-    is max|V^T V - I|.
+    is max|V^T V - I|.  ``sweeps`` is the number of evaluations of the
+    secular function the slowest root took.
     """
 
     eigenvalues: np.ndarray
@@ -308,6 +310,98 @@ class CombSpectrum:
     photon: np.ndarray
     residual: float
     orthogonality: float
+    sweeps: int
+
+
+def _secular_roots(delta, g2, origin, lo, hi):
+    """Offsets tau of the roots of f(lam) = lam + sum_k g_k^2 / (delta_k - lam)
+    from their poles delta[origin], each inside its bracket (lo, hi), and the
+    number of sweeps the slowest root took.
+
+    Each sweep evaluates f, its derivative and the split of both into the
+    poles left of the root (k < j) and right of it, for the roots still
+    open, and takes a model step that lies inside the bracket, else the
+    bracket's midpoint.  An interior root's model is the middle way (R.-C.
+    Li, LAPACK Working Note 89, 1994): c + s / (delta_{j-1} - lam) +
+    S / (delta_j - lam), with s and S matching the derivatives of the left
+    and right pole sums and c matching f.  The linear term's derivative 1
+    goes to the pole farther from the root: on a weak-coupling comb a root
+    next to its pole can lie far from it on the scale of the coupling, and
+    a line modelled as a heavy pole beside it costs a sweep per halving.
+    The first sweep, and every sweep of the two outer roots, instead takes
+    the root's own pole exactly and the rest of f as a line, which is exact
+    for one mode and a better start on a weak-coupling comb than the
+    bracket midpoint.  A root stops when |f| is at the rounding level
+    8u (|lam| + sum_k |g_k^2 / (delta_k - lam)|), when its step does not
+    move it, or when its bracket holds no other float.
+    """
+    n = len(delta)
+    pole = delta[origin]
+    # offsets of the poles left and right of each root (one of them is 0)
+    below = np.concatenate(([-np.inf], delta)) - pole
+    above = np.concatenate((delta, [np.inf])) - pole
+    tau = 0.5 * (lo + hi)
+    columns = np.arange(n)
+    # two (n+1) x n buffers and a mask; a sweep uses one row per open root
+    gaps = np.empty((n + 1, n))
+    terms = np.empty((n + 1, n))
+    left_of = np.empty((n + 1, n), dtype=bool)
+    open_ = np.arange(n + 1)
+    sweeps = 0
+    while len(open_):
+        sweeps += 1
+        rows = len(open_)
+        gap, term, left = gaps[:rows], terms[:rows], left_of[:rows]
+        t = tau[open_]
+        # delta_k - lam_j, formed from the exact delta_k - pole_j
+        np.subtract(delta, pole[open_, None], out=gap)
+        gap -= t[:, None]
+        np.less(columns, open_[:, None], out=left)
+        np.divide(g2, gap, out=term)
+        total = term.sum(axis=1)
+        psi = term.sum(axis=1, where=left)
+        lam = pole[open_] + t
+        f = lam + total
+        noise = 8.0 * 2.0 ** -53 * (np.abs(lam) + total - 2.0 * psi)
+        np.divide(term, gap, out=gap)  # g_k^2 / (delta_k - lam)^2
+        slope_left = gap.sum(axis=1, where=left)
+        slope_right = gap.sum(axis=1) - slope_left
+        # f rises between its poles
+        low = lo[open_] = np.where(f < 0.0, t, lo[open_])
+        high = hi[open_] = np.where(f > 0.0, t, hi[open_])
+
+        # The model's step eta solves a2 eta^2 + a1 eta + a0 = 0.
+        own_pole = origin[open_]
+        own_left = own_pole < open_  # the root's pole is delta_{j-1}
+        d_left = below[open_] - t
+        d_right = above[open_] - t
+        # the linear term's 1 joins the pole on the far side
+        s = slope_left + ~own_left
+        S = slope_right + own_left
+        product = d_left * d_right
+        a2 = f - s * d_left - S * d_right  # the middle way's c
+        a1 = product * (s + S) - f * (d_left + d_right)
+        a0 = product * f
+        line = (sweeps == 1) | (open_ == 0) | (open_ == n)
+        # own pole exact, rest a line r + r' eta: its gap is -t
+        own = g2[own_pole] / t
+        slope = 1.0 + slope_left + slope_right - own / t
+        a2 = np.where(line, slope, a2)
+        a1 = np.where(line, f + own + slope * t, a1)
+        a0 = np.where(line, t * f, a0)
+        # Either model has one root on each side of a pole, so at most one
+        # lies in the bracket.  q / a2 and a0 / q are the two roots, each
+        # formed without cancellation.
+        q = -0.5 * (a1 + np.copysign(np.sqrt(np.abs(a1 * a1 - 4.0 * a2 * a0)), a1))
+        step = t + q / a2
+        other = t + a0 / q
+        step = np.where((low < other) & (other < high), other, step)
+        step = np.where((low < step) & (step < high), step, 0.5 * (low + high))
+        done = ((np.abs(f) <= noise) | (step == t)
+                | ~((low < step) & (step < high)))  # NaN ends here
+        tau[open_] = np.where(done, t, step)
+        open_ = open_[~done]
+    return tau, sweeps
 
 
 def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
@@ -316,11 +410,13 @@ def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
     The eigenvalues solve lam = sum_k g_k^2 / (lam - delta_k): one below the
     lowest detuning, one between each adjacent pair and one above the
     highest (the detunings increase strictly and the couplings are nonzero,
-    as ``build_mode_grid`` makes them).  All roots are bisected together,
-    each as the offset tau from the pole it lies closer to, so that
-    lam - delta_k keeps full relative accuracy however close the root is to
-    that pole.  The eigenvector of lam is a * (1, g_k / (lam - delta_k))
-    with a = 1 / sqrt(1 + sum_k g_k^2 / (lam - delta_k)^2).
+    as ``build_mode_grid`` makes them).  The secular function at the middle
+    of each bracket says which half holds the root; each root is then
+    solved by ``_secular_roots`` as the offset tau from the pole it lies
+    closer to, so that lam - delta_k keeps full relative accuracy however
+    close the root is to that pole.  The eigenvector of lam is
+    a * (1, g_k / (lam - delta_k)) with
+    a = 1 / sqrt(1 + sum_k g_k^2 / (lam - delta_k)^2).
 
     The photon rows of A v - lam v are then zero by construction, and the
     atom row, a * (S(lam) - lam) with S(lam) = sum_k g_k^2 / (lam - delta_k),
@@ -350,20 +446,16 @@ def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
         pole = delta[origin]
         lo = np.where(low_half, lower, mid) - pole
         hi = np.where(low_half, mid, upper) - pole
-        offsets = delta - pole[:, None]  # delta_k - pole_j, exactly 0 at the pole
-        while True:
-            tau = 0.5 * (lo + hi)
-            open_ = (lo < tau) & (tau < hi)
-            if not open_.any():
-                break
-            rising = pole + tau - np.sum(g2 / (tau[:, None] - offsets), axis=1) > 0.0
-            hi = np.where(open_ & rising, tau, hi)
-            lo = np.where(open_ & ~rising, tau, lo)
+        # one mode puts its roots +-G on the outer ends: admit them
+        lo[0] = np.nextafter(lo[0], -np.inf)
+        hi[-1] = np.nextafter(hi[-1], np.inf)
+        tau, sweeps = _secular_roots(delta, g2, origin, lo, hi)
 
         eigenvalues = pole + tau
-        # one (n+1) x n buffer: the gaps lam_j - delta_k, then g_k / gaps,
-        # then the photon components
-        photon = np.subtract(tau[:, None], offsets, out=offsets)
+        # one (n+1) x n buffer: delta_k - pole_j, the gaps lam_j - delta_k,
+        # then g_k / gaps, then the photon components
+        photon = np.subtract(delta, pole[:, None])
+        np.subtract(tau[:, None], photon, out=photon)
         secular = np.sum(g2 / photon, axis=1)
         np.divide(g, photon, out=photon)
         norm2 = 1.0 + np.sum(photon * photon, axis=1)
@@ -376,7 +468,7 @@ def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
         overlap[roots, roots] = atom * atom * norm2 - 1.0
     return CombSpectrum(eigenvalues=eigenvalues, atom=atom, photon=photon,
                         residual=float(residual),
-                        orthogonality=float(np.max(np.abs(overlap))))
+                        orthogonality=float(np.max(np.abs(overlap))), sweeps=sweeps)
 
 
 def _exact_atoms(grid: ModeGrid, blocks, t_max: float, dt: float, sample_stride: int):
@@ -423,7 +515,8 @@ def _exact_atoms(grid: ModeGrid, blocks, t_max: float, dt: float, sample_stride:
     if not np.all(np.isfinite(out)):
         raise IntegrationError("nonfinite amplitudes from the exact engine")
     return times, out, (f"exact (eigen residual {spectrum.residual:.1e}, "
-                        f"orthogonality error {spectrum.orthogonality:.1e})")
+                        f"orthogonality error {spectrum.orthogonality:.1e}, "
+                        f"{spectrum.sweeps} sweeps)")
 
 
 def _single_columns(c1, c2, c_ab, pop1, pop2, pop_cav_a, pop_cav_b) -> dict:

@@ -436,6 +436,9 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     *[([command, "--modes", "3", "--omega-a", "1e-300", "--length-ratio", "1e7"],
        ["default --tmax", "overflows", "--omega-a", "--length-ratio", "--tmax"])
       for command in ("single", "double", "kernel")],
+    # a spacing whose squared eigenvector components overflow in the exact engine
+    *[(["double", "--modes", "3", "--omega-a", omega_a, "--length-ratio", "1e7", "--tmax", "1"],
+       ["--omega-a", "--length-ratio", "1e-150"]) for omega_a in ("1e-200", "1e-150")],
     # the window boundaries of every subcommand
     (["single", "--modes", "3", "--tmax", "0"], ["tmax"]),
     (["double", "--modes", "3", "--tmax", "-1"], ["tmax"]),
@@ -504,6 +507,9 @@ def test_default_stride_counts_the_steps_taken(tmp_path):
     # the second point has more modes than the exact engine takes
     ["--initial", "double", "--axis", "n_modes", "--values", "3,2003", "--length-ratio", "3480",
      "--tmax", "1.0"],
+    # the second point's spacing is below the exact engine's limit
+    ["--axis", "omega_a", "--values", "4840,1e-150", "--modes", "3", "--length-ratio", "1e7",
+     "--tmax", "1.0"],
 ])
 def test_sweep_checks_work_limits_before_the_first_run(tmp_path, capsys, extra):
     assert main(["sweep", *extra, "--out", str(tmp_path / "p.csv")]) == 2
@@ -520,6 +526,16 @@ def test_summary_names_the_engine(tmp_path, capsys, command, engine):
     assert f"\nengine: {engine} (" in capsys.readouterr().out
     for path in tmp_path.iterdir():
         assert "engine" not in path.read_text()
+
+
+@pytest.mark.parametrize("command", ["double", "sweep"])
+def test_exact_engine_line_reports_its_sweeps(tmp_path, capsys, command):
+    extra = ["--axis", "theta", "--values", "pi/4"] if command == "sweep" else []
+    assert main([command, "--modes", "19", "--tmax", "1.0", *extra,
+                 "--out", str(tmp_path / "run.csv")]) == 0
+    line = re.search(r"^engine: exact \(eigen residual \S+, orthogonality error \S+, "
+                     r"(\d+) sweeps\)$", capsys.readouterr().out, re.MULTILINE)
+    assert line and 1 <= int(line.group(1)) <= 8
 
 
 @pytest.mark.parametrize("initial", ["atoms", "fields"])

@@ -381,6 +381,57 @@ def test_comb_spectrum_reports_a_nan_grid():
         run_single(bad, init_atoms_entangled(0.3, bad), 1.0, dt=0.1, engine="exact")
 
 
+def bisected_eigenvalues(grid):
+    """The arrowhead's eigenvalues by plain bisection of every root together,
+    each as its offset from the nearer pole, until no bracket holds another
+    float: the solver comb_spectrum used before its model steps."""
+    delta, g2, n = grid.detunings, grid.couplings ** 2, grid.n
+    roots = np.arange(n + 1)
+    reach = grid.collective_coupling
+    lower = np.concatenate(([min(0.0, delta[0]) - reach], delta))
+    upper = np.concatenate((delta, [max(0.0, delta[-1]) + reach]))
+    mid = 0.5 * (lower + upper)
+    low_half = mid - np.sum(g2 / (mid[:, None] - delta), axis=1) > 0.0
+    origin = np.where(low_half, roots - 1, roots)
+    origin[0], origin[-1] = 0, n - 1
+    pole = delta[origin]
+    lo = np.where(low_half, lower, mid) - pole
+    hi = np.where(low_half, mid, upper) - pole
+    offsets = delta - pole[:, None]
+    with np.errstate(divide="ignore"):
+        while True:
+            tau = 0.5 * (lo + hi)
+            open_ = (lo < tau) & (tau < hi)
+            if not open_.any():
+                return pole + tau
+            rising = pole + tau - np.sum(g2 / (tau[:, None] - offsets), axis=1) > 0.0
+            hi = np.where(open_ & rising, tau, hi)
+            lo = np.where(open_ & ~rising, tau, lo)
+
+
+#: The reference comb at every size, and two weak-coupling combs whose
+#: spacing is far above the coupling.
+SOLVER_GRIDS = [
+    *[reference_config(n, 3480.0, profile) for n in (1, 3, 19, 49, 99, 499)
+      for profile in ("uniform", "sqrtfreq")],
+    SystemConfig(omega_a=19489.3, length_ratio=224.14, n_modes=5, coupling_profile="sqrtfreq"),
+    SystemConfig(omega_a=13823.9, length_ratio=292.29, n_modes=37, coupling_profile="uniform"),
+]
+
+
+@pytest.mark.parametrize("config", SOLVER_GRIDS)
+def test_comb_spectrum_matches_bisection(config):
+    grid = build_mode_grid(config)
+    lam = comb_spectrum(grid).eigenvalues
+    reference = bisected_eigenvalues(grid)
+    assert np.all(np.abs(lam - reference) <= 4e-15 * (1.0 + np.abs(reference)))
+
+
+@pytest.mark.parametrize("config", SOLVER_GRIDS)
+def test_comb_spectrum_converges_in_few_sweeps(config):
+    assert 1 <= comb_spectrum(build_mode_grid(config)).sweeps <= 8
+
+
 @pytest.mark.parametrize("t_max,dt,stride", [
     (0.95, 0.1, 3), (1.0, 0.1, 1), (1.0, 0.25, 10 ** 9), (0.0, 0.1, 1),
     (22.5887, 0.00092227, 12), (3.0, 0.35, 2),

@@ -8,7 +8,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from djcsim import (
     SystemConfig,
@@ -119,6 +119,12 @@ def test_rk4_follows_the_exact_engine(grid, theta, init):
 
 @checked
 @given(grids(max_modes=401))
+# weak-coupling grids, spacing far above the coupling, that a bracket-midpoint
+# start solves slowly
+@example(build_mode_grid(SystemConfig(omega_a=19489.3, length_ratio=224.14, n_modes=5,
+                                      coupling_profile="sqrtfreq")))
+@example(build_mode_grid(SystemConfig(omega_a=13823.9, length_ratio=292.29, n_modes=37,
+                                      coupling_profile="uniform")))
 def test_comb_spectrum_checks_hold(grid):
     spectrum = comb_spectrum(grid)
     assert spectrum.residual <= 1e-10
