@@ -446,6 +446,13 @@ def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
         pole = delta[origin]
         lo = np.where(low_half, lower, mid) - pole
         hi = np.where(low_half, mid, upper) - pole
+        # Where G is within a few ulps of the outer poles, lower[0] or
+        # upper[-1] and the midpoint round onto the pole: take that outer
+        # bracket whole, as offsets -G and +G from its pole.
+        if not lower[0] < mid[0] < delta[0]:
+            lo[0], hi[0] = min(0.0, -delta[0]) - reach, 0.0
+        if not delta[-1] < mid[-1] < upper[-1]:
+            lo[-1], hi[-1] = 0.0, max(0.0, -delta[-1]) + reach
         # one mode puts its roots +-G on the outer ends: admit them
         lo[0] = np.nextafter(lo[0], -np.inf)
         hi[-1] = np.nextafter(hi[-1], np.inf)

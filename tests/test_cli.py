@@ -253,6 +253,23 @@ def test_csv_rows_are_17_significant_digits_of_each_value(tmp_path):
         assert cells[name][~nan].tobytes() == want[~nan].tobytes()
 
 
+@pytest.mark.parametrize("values", [
+    [1e-300, 1e20, math.nan, -math.inf],  # every cell formatted by %
+    [1e-300, 0.5, 1e20, -0.0, math.nan, 1.2345e-6, -math.inf, 0.0, 1e-6, 1e17],  # mixed
+])
+def test_csv_cells_outside_the_fast_path_are_the_spec(tmp_path, values):
+    import djcsim.cli as cli
+
+    rows = 2 * cli._CSV_BLOCK + 3  # not a multiple of the block
+    table = np.resize(np.array(values), (4, rows))
+    records = {f"c{i}": column for i, column in enumerate(table[1:])}
+    out = tmp_path / "rows.csv"
+    cli._write_csv(str(out), "t", table[0], records)
+    expected = "t,c0,c1,c2\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in table.T.tolist())
+    assert out.read_bytes() == expected.encode("ascii")
+
+
 def test_double_csv_holds_run_double_exactly(tmp_path):
     out = tmp_path / "double.csv"
     assert main(["double", "--modes", "49", "--length-ratio", "1720", "--omega-a", "11100",
@@ -495,6 +512,24 @@ def test_default_stride_counts_the_steps_taken(tmp_path):
     _, cols = read_csv(out)
     assert len(cols["t"]) == 4000
     assert np.array_equal(cols["t"][:-1], np.arange(3999.0))
+
+
+@pytest.mark.parametrize("omega_a", ["3e16", "1e17"])
+@pytest.mark.parametrize("command", [["double"], ["sweep", "--axis", "theta", "--values", "0.5"]])
+def test_wide_spacing_runs_or_exits_2(tmp_path, omega_a, command):
+    # a mode spacing of 1e16 and more once rounded the spectrum's outer
+    # brackets onto their poles and failed its check with exit 3
+    code = main([*command, "--modes", "3", "--omega-a", omega_a, "--length-ratio", "3",
+                 "--tmax", "1e-15", "--out", str(tmp_path / "run.csv")])
+    assert code in (0, 2)
+    written = sorted(tmp_path.iterdir())
+    if code == 2:
+        assert written == []
+    for path in written:
+        if path.name.endswith("_summary.csv"):  # empty cells when nothing dies
+            continue
+        _, cells = read_csv(path)
+        assert all(np.all(np.isfinite(column)) for column in cells.values())
 
 
 @pytest.mark.parametrize("extra", [

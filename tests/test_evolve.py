@@ -432,6 +432,18 @@ def test_comb_spectrum_converges_in_few_sweeps(config):
     assert 1 <= comb_spectrum(build_mode_grid(config)).sweeps <= 8
 
 
+@pytest.mark.parametrize("omega_a", [1e16, 3e16, 1e17, 1e20, 1e100])
+def test_comb_spectrum_brackets_outer_roots_at_wide_spacing(omega_a):
+    # From a spacing of about 1e16, G = 1.7 is within an ulp of the outer
+    # poles +-omega_a / 3, so delta_0 - G rounds onto delta_0: the outer
+    # brackets are then offsets -G and +G from their poles.
+    grid = build_mode_grid(SystemConfig(omega_a=omega_a, length_ratio=3.0, n_modes=3))
+    spectrum = comb_spectrum(grid)
+    assert spectrum.residual <= 1e-10 and spectrum.orthogonality <= 1e-10
+    assert spectrum.eigenvalues[0] <= grid.detunings[0] < spectrum.eigenvalues[1]
+    assert spectrum.eigenvalues[-2] < grid.detunings[-1] <= spectrum.eigenvalues[-1]
+
+
 @pytest.mark.parametrize("t_max,dt,stride", [
     (0.95, 0.1, 3), (1.0, 0.1, 1), (1.0, 0.25, 10 ** 9), (0.0, 0.1, 1),
     (22.5887, 0.00092227, 12), (3.0, 0.35, 2),
@@ -524,9 +536,19 @@ def test_exact_engine_has_no_stability_limit():
     (99, 3480.0, 11100.0, 1.05, True),  # 0.439, single never dies
 ])
 def test_doubly_excited_state_dies_first(n, length_ratio, omega_a, theta, double_dies):
-    # the paper's "more drastic" decay of cos|gg> + sin|ee>: with the CLI's
-    # default window, steps (halved for double) and stride, its first dead
-    # interval starts before that of cos|eg> + sin|ge>; never dying is +inf
+    """The paper's "more drastic" decay of cos|gg> + sin|ee>: with the CLI's
+    default window, steps (halved for double) and stride, its first dead
+    interval starts before that of cos|eg> + sin|ge>; never dying is +inf.
+
+    Both runs follow the same p(t) = |u|^2.  The double run's c_ab is exactly
+    zero iff p <= 1 - cot(theta), so only theta > pi/4 gives true sudden
+    death.  For theta <= pi/4 its dead interval is a crossing of
+    revivals.FLOOR = 1e-6, as the single run's (c_ab = sin(2 theta) p)
+    always is.  So the cases up to pi/4 compare the same p(t) at two
+    thresholds: below pi/4 the double run's is about 1/(1 - tan(theta))
+    times the single run's, and at pi/4, where its c_ab = p^2, it is
+    p = 1e-3 against the single run's p = 1e-6.
+    """
     config = SystemConfig(omega_a=omega_a, length_ratio=length_ratio, n_modes=n)
     grid = build_mode_grid(config)
     t_r = retardation_time(config)

@@ -1,10 +1,12 @@
 """Property tests of the exact engine over random grids, angles and states,
 of the RK4 reference stack on small, slow grids, and of the revival
 detector against a sample-by-sample loop and numpy's median, and of the CSV
-writer's read-back."""
+writer: its bytes against Python's %.17g, and its read-back."""
 
 import math
 import os
+import struct
+from fractions import Fraction
 import tempfile
 
 import numpy as np
@@ -21,6 +23,7 @@ from djcsim import (
     run_single,
 )
 from djcsim.cli import _CSV_BLOCK, _write_csv
+from djcsim.csvcells import SPEC, format_rows
 from djcsim.evolve import comb_spectrum
 from djcsim.revivals import _median
 from djcsim.single import SingleExcState
@@ -232,3 +235,43 @@ def test_csv_cells_read_back_bit_for_bit(values, columns, rows):
     nan = np.isnan(table)
     assert np.array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == table[~nan].tobytes()
+
+
+@st.composite
+def raw_floats(draw):
+    """A float64 from a raw 64-bit pattern: subnormals, +-0, +-inf and NaN
+    payloads included.  Half the exponent fields lie near that of 1, so that
+    most values take the formatter's fast path, 1e-6 < |v| < 1e17."""
+    exponent = draw(st.integers(0, 2047) | st.integers(1000, 1080))
+    bits = draw(st.integers(0, 1)) << 63 | exponent << 52 | draw(st.integers(0, 2 ** 52 - 1))
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def powers_of_ten_and_neighbours(first, last):
+    return [x for e in range(first, last + 1) for p in (float(f"1e{e}"),)
+            for x in (np.nextafter(p, -math.inf), p, np.nextafter(p, math.inf))]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(raw_floats(), min_size=1, max_size=60), st.integers(1, 5))
+@example(powers_of_ten_and_neighbours(-8, 18), 3)
+@example([9.9999999999999995e-5, 1e-5, -9.9999999999999995e-5, -1e-5], 2)
+@example([1e16, 1e17, 99999999999999994.0, -99999999999999994.0], 1)
+@example([2.0 ** 53, 2.0 ** 53 + 2, -2.0 ** 53], 2)
+@example([5e-324, 1.7976931348623157e308, -5e-324, -1.7976931348623157e308], 4)
+def test_formatted_rows_are_the_spec_byte_for_byte(values, columns):
+    table = np.resize(np.array(values), (-(-len(values) // columns), columns))
+    expected = "".join(",".join(SPEC % v for v in row) + "\n" for row in table.tolist())
+    assert format_rows(table).tobytes() == expected.encode("ascii")
+
+
+def test_no_fast_value_rounds_up_to_the_next_decade():
+    # the largest float below each power of ten inside the fast path lies
+    # more than half a unit of the 17th digit below it, so the formatter's
+    # 17-digit integer never carries to 10**17
+    for e in range(-5, 18):
+        below = math.nextafter(float(f"1e{e}"), 0.0)
+        while Fraction(below) >= Fraction(10) ** e:
+            below = math.nextafter(below, 0.0)
+        scaled = Fraction(below) * Fraction(10) ** (17 - e)
+        assert 10 ** 17 - scaled > 0.5
