@@ -3,8 +3,8 @@ formatted a block of rows at a time in numpy.
 
 ``format_rows`` turns a (rows, columns) float64 block into comma-separated,
 LF-terminated lines.  Values with 1e-6 < |v| < 1e17 and zeros are formatted
-by table lookups and one ``np.compress`` per block; Python's ``%`` formats
-the rest (nonfinite, |v| <= 1e-6 and |v| >= 1e17).  Every cell reads back
+by table lookups and ``np.compress`` over 64 rows at a time; Python's ``%``
+formats the rest (nonfinite, |v| <= 1e-6 and |v| >= 1e17).  Every cell reads back
 to the float64 it was written from.
 """
 
@@ -146,7 +146,7 @@ def format_rows(block: np.ndarray) -> np.ndarray:
     as CSV lines, each cell exactly as ``SPEC`` writes it: the cells'
     layouts (``_cells``), compressed by their keep-masks.  The digit arrays
     of ``_cells`` are freed before the masks and the compressed bytes are
-    allocated, which bounds the peak."""
+    allocated, which bounds the peak memory."""
     rows, columns = block.shape
     v = block.ravel()
     text, key = _cells(v)
@@ -160,4 +160,8 @@ def format_rows(block: np.ndarray) -> np.ndarray:
         printed = printed.view(np.uint8).reshape(-1, 24)
         text[other, :24] = printed
         keep[other, :24] = printed != 0
-    return np.compress(keep.ravel(), text.ravel())
+    # np.compress holds an 8-byte index per kept byte: join 64 rows at a time
+    keep, text, step = keep.ravel(), text.ravel(), 64 * columns * _CELL
+    chunks = [np.compress(keep[i:i + step], text[i:i + step])
+              for i in range(0, len(text), step)]
+    return np.concatenate(chunks) if chunks else text

@@ -6,8 +6,8 @@ writer: its bytes against Python's %.17g, and its read-back."""
 import math
 import os
 import struct
-from fractions import Fraction
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -270,8 +270,8 @@ def test_no_fast_value_rounds_up_to_the_next_decade():
     # more than half a unit of the 17th digit below it, so the formatter's
     # 17-digit integer never carries to 10**17
     for e in range(-5, 18):
-        below = math.nextafter(float(f"1e{e}"), 0.0)
-        while Fraction(below) >= Fraction(10) ** e:
+        below = float(f"1e{e}")
+        if Fraction(below) >= Fraction(10) ** e:
             below = math.nextafter(below, 0.0)
         scaled = Fraction(below) * Fraction(10) ** (17 - e)
         assert 10 ** 17 - scaled > 0.5
