@@ -4,8 +4,8 @@ formatted a block of rows at a time in numpy.
 ``format_rows`` turns a (rows, columns) float64 block into comma-separated,
 LF-terminated lines.  Values with 1e-6 < |v| < 1e17 and zeros are formatted
 by table lookups and ``np.compress`` over 64 rows at a time; Python's ``%``
-formats the rest (nonfinite, |v| <= 1e-6 and |v| >= 1e17).  Every cell reads back
-to the float64 it was written from.
+formats the rest (nonfinite, |v| <= 1e-6 and |v| >= 1e17).  Every cell
+reads back to the float64 it was written from.
 """
 
 from __future__ import annotations
