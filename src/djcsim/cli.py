@@ -23,8 +23,9 @@ with RK4, which checks its stability limit before the first step; double
 runs and every sweep point use the exact single-comb engine (see _plan).
 Every CSV number is written as %.17g, which reads back to the same float64.
 The cells are produced in numpy blocks of rows (csvcells), byte for byte
-as %.17g writes them; Python's % formats only the values outside its fast
-path (nonfinite, |v| <= 1e-6 and |v| >= 1e17).
+as %.17g writes them: each cell's layout is masked to the bytes it keeps
+and the NUL bytes left are deleted.  Python's % formats only the values
+outside its fast path (nonfinite, |v| <= 1e-6 and |v| >= 1e17).
 Exit codes: 0 success, 2 invalid parameters, paths or a run over the work
 limits, 3 numerical failure (nonfinite amplitudes, or an exact spectrum
 that fails its check).
@@ -79,13 +80,17 @@ MAX_EXACT_MODES = 2001
 #: eigenvector components g_k / (lambda - delta_k) grow as 1 / spacing, and
 #: their squares overflow from a spacing of about 1e-154 down (n = 3 to 2001).
 MIN_EXACT_SPACING = 1e-150
+#: Largest max|delta| / min g of a multimode grid for the exact engine: its
+#: outer eigenvector components grow as max|delta| / g, and their squares
+#: overflow from about 1e154 up (n = 3 to 401, both profiles).
+MAX_EXACT_SPREAD = 1e150
 #: Below this Gamma * t_r the atom has not decayed by the first round trip.
 _COLLAPSE_REGIME = 5.0
 #: Phase rounding (radians) above which a run warns: the column tolerance.
 _PHASE_TOL = 1e-6
 #: CSV rows formatted at once, chosen by peak memory: on an 11-column dense
-#: sweep, blocks of 256 rows raised a run's peak by 0.5 MiB and blocks of
-#: 1024 rows by 3.3 MiB, while larger blocks wrote at most a few % faster.
+#: sweep, blocks of 1024 rows raised a run's peak by 1.5 MiB over blocks of
+#: 256, and neither 128 nor 1024 rows formatted measurably faster.
 _CSV_BLOCK = 256
 
 _PI_EXPR = re.compile(r"^\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$")
@@ -338,6 +343,12 @@ def _plan(args: argparse.Namespace) -> _Run:
                          f"{config.length_ratio:g} gives a mode spacing of "
                          f"{config.mode_spacing:.3g}, below the exact engine's limit of "
                          f"{MIN_EXACT_SPACING:g}; raise --omega-a or lower --length-ratio")
+    spread = grid.max_detuning / float(np.min(grid.couplings))
+    if not rk4 and spread > MAX_EXACT_SPREAD:
+        raise ValueError(f"--omega-a {config.omega_a:g} over --length-ratio "
+                         f"{config.length_ratio:g} gives max|delta| / min g = {spread:.3g}, "
+                         f"above the exact engine's limit of {MAX_EXACT_SPREAD:g}; lower "
+                         f"--omega-a or raise --length-ratio")
     steps = step_count(t_max, dt)
     stride = max(1, steps // 2000) if args.stride is None else args.stride
     if rk4 and steps > MAX_RK4_STEPS:

@@ -2,10 +2,11 @@
 formatted a block of rows at a time in numpy.
 
 ``format_rows`` turns a (rows, columns) float64 block into comma-separated,
-LF-terminated lines.  Values with 1e-6 < |v| < 1e17 and zeros are formatted
-by table lookups and ``np.compress`` over 64 rows at a time; Python's ``%``
-formats the rest (nonfinite, |v| <= 1e-6 and |v| >= 1e17).  Every cell
-reads back to the float64 it was written from.
+LF-terminated lines.  Values with 1e-6 < |v| < 1e17 and zeros are laid out
+by table lookups; Python's ``%`` formats the rest (nonfinite, |v| <= 1e-6
+and |v| >= 1e17).  Each layout is masked to the bytes its cell keeps and
+the NUL bytes left are deleted.  Every cell reads back to the float64 it
+was written from.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ def _tables():
     ``0.000`` (1-5), 17 digits each followed by a point slot (6-39), ``e-0``
     and an exponent digit (40-43), the separator (44) and padding.  Each
     entry of ``lead``, ``groups`` and ``tail`` is 8 bytes of that layout.
-    ``masks`` holds the bytes to keep, one row per (sign, exponent -6..16,
-    significant-digit count 1..17), two rows for 0 and -0, and a last row,
-    the separator alone, for a cell that ``%`` formats.
+    ``masks`` holds the bytes to keep as 0xFF and the rest as 0x00, viewed
+    as six uint64 per row: one row per (sign, exponent -6..16,
+    significant-digit count 1..17), two rows for 0 and -0, and a last row
+    for a cell that ``%`` formats, which keeps bytes 0-23 and the separator.
     """
     group = np.arange(10000, dtype=np.int16)
     digits = group[:, None] // np.array([1000, 100, 10, 1], dtype=np.int16) % 10
@@ -62,8 +64,9 @@ def _tables():
             | (pos >= 40) & (pos < 44) & ~fixed
             | (pos == 44))
     zeros = (pos == 1) | (pos == 44) | (pos == 0) & (np.arange(2)[:, None] == 1)
-    masks = np.concatenate((keep.reshape(-1, _CELL), zeros, [pos == 44]))
-    return lead, groups, trailing, tail, power, power_hi, masks
+    printed = (pos < 24) | (pos == 44)
+    masks = np.concatenate((keep.reshape(-1, _CELL), zeros, [printed])) * np.uint8(0xFF)
+    return lead, groups, trailing, tail, power, power_hi, masks.view(np.uint64)
 
 
 def _scaled(a, k, power, power_hi):
@@ -101,8 +104,9 @@ def _mantissas(a, power, power_hi):
 
 
 def _cells(v: np.ndarray):
-    """The ``_CELL``-byte layouts of the values v and the row of ``masks``
-    that selects each one's bytes; the last row where ``%`` must format it.
+    """The ``_CELL``-byte layouts of the values v, as six uint64 per cell,
+    and the row of ``masks`` that selects each one's bytes; the last row
+    where ``%`` must format it.
 
     A value with 1e-6 < |v| < 1e17 becomes its 17-digit mantissa
     (``_mantissas``), whose digits come from 4-digit groups; the mask row is
@@ -118,12 +122,15 @@ def _cells(v: np.ndarray):
     high, low = np.divmod(rest, 10 ** 8)
     g1, g2 = np.divmod(high, 10 ** 4)
     g3, g4 = np.divmod(low, 10 ** 4)
-    # significant digits: 17 less the trailing zeros of the groups
-    zero = g4 == 0
+    # significant digits: 17 less the trailing zeros of the groups, which
+    # reach past the last group only where it is zero
     count = 17 - trailing[g4]
-    for g in (g3, g2, g1):
-        count -= zero * trailing[g]
-        zero &= g == 0
+    tied = np.flatnonzero(g4 == 0)
+    if tied.size:
+        zero = np.ones(tied.size, dtype=bool)
+        for g in (g3, g2, g1):
+            count[tied] -= zero * trailing[g[tied]]
+            zero &= g[tied] == 0
     neg = np.signbit(v)
     exponent = 22 - k  # the exponent plus 6
     key = (neg * 23 + exponent) * 17 + count - 1
@@ -138,30 +145,27 @@ def _cells(v: np.ndarray):
     cells[:, 3] = np.take(groups, g3)
     cells[:, 4] = np.take(groups, g4)
     cells[:, 5] = np.take(tail, exponent)
-    return cells.view(np.uint8), key
+    return cells, key
 
 
 def format_rows(block: np.ndarray) -> np.ndarray:
     """The bytes of the rows of ``block``, a (rows, columns) float64 array,
     as CSV lines, each cell exactly as ``SPEC`` writes it: the cells'
-    layouts (``_cells``), compressed by their keep-masks.  The digit arrays
-    of ``_cells`` are freed before the masks and the compressed bytes are
-    allocated, which bounds the peak memory."""
+    layouts (``_cells``) ANDed with their keep-masks, with the NUL bytes
+    left deleted.  A cell that ``%`` formats is written NUL-padded into its
+    first 24 bytes, so the same deletion drops its padding.  The digit
+    arrays of ``_cells`` are freed before the masks are taken, which bounds
+    the peak memory."""
     rows, columns = block.shape
     v = block.ravel()
-    text, key = _cells(v)
+    cells, key = _cells(v)
+    text = cells.view(np.uint8)
     text.reshape(rows, columns, _CELL)[:, -1, 44] = ord("\n")
     masks = _tables()[-1]
-    keep = np.take(masks, key, axis=0)
     other = np.flatnonzero(key == len(masks) - 1)
     if other.size:
         # the longest cell, -2.2250738585072014e-308, has 24 characters
         printed = np.array([SPEC % x for x in v[other].tolist()], dtype="S24")
-        printed = printed.view(np.uint8).reshape(-1, 24)
-        text[other, :24] = printed
-        keep[other, :24] = printed != 0
-    # np.compress holds an 8-byte index per kept byte: join 64 rows at a time
-    keep, text, step = keep.ravel(), text.ravel(), 64 * columns * _CELL
-    chunks = [np.compress(keep[i:i + step], text[i:i + step])
-              for i in range(0, len(text), step)]
-    return np.concatenate(chunks) if chunks else text
+        text[other, :24] = printed.view(np.uint8).reshape(-1, 24)
+    cells &= np.take(masks, key, axis=0)
+    return np.frombuffer(cells.tobytes().translate(None, b"\0"), np.uint8)

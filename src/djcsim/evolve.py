@@ -50,6 +50,8 @@ _EXPM_MAX_DIM = 200
 #: Times the exact engine and the memory kernel evaluate per block, which
 #: bounds their (block x modes) phase matrices.
 TIME_BLOCK = 128
+#: Blocks of samples the exact engine sums in one call.
+_BLOCK_GROUP = 16
 
 #: Largest eigen residual and orthogonality error the exact engine accepts.
 _SPECTRUM_TOL = 1e-10
@@ -489,9 +491,11 @@ def _exact_atoms(grid: ModeGrid, blocks, t_max: float, dt: float, sample_stride:
     exp(-i lam_j k stride dt), k < ``TIME_BLOCK``, built once per run: the
     block of samples starting at t_b is the table applied to the weights
     exp(-i lam_j t_b) w_j.  The last sample, t_max, is evaluated directly.
-    The sums use einsum: a BLAS matvec of this size is slower under
-    threaded BLAS.  Returns the sample times, the amplitudes (one row per
-    block) and the engine description.
+    The sums are one ``np.vecdot`` per ``_BLOCK_GROUP`` blocks, which
+    conjugates its first argument, so the table holds exp(+i lam_j t).
+    vecdot runs on the calling thread; a BLAS product of this size starts
+    OpenBLAS's threads, which stall on a busy machine.  Returns the sample
+    times, the amplitudes (one row per block) and the engine description.
     """
     times = sample_times(t_max, dt, sample_stride)
     spectrum = comb_spectrum(grid)
@@ -510,12 +514,18 @@ def _exact_atoms(grid: ModeGrid, blocks, t_max: float, dt: float, sample_stride:
     out = np.empty((len(weights), len(times)), dtype=complex)
     on_grid = len(times) - 1
     # times[k] = k * stride * dt for k < on_grid, bit for bit
-    table = np.exp(-1j * np.outer(times[:min(on_grid, TIME_BLOCK)], lam))
-    for lo in range(0, on_grid, TIME_BLOCK):
-        rows = min(TIME_BLOCK, on_grid - lo)
-        out[:, lo:lo + rows] = np.einsum("ij,bj->bi", table[:rows],
-                                         weights * np.exp(-1j * times[lo] * lam))
-    out[:, -1] = np.einsum("bj,j->b", weights, np.exp(-1j * times[-1] * lam))
+    table = np.exp(1j * np.outer(times[:min(on_grid, TIME_BLOCK)], lam))
+    full = on_grid - on_grid % TIME_BLOCK
+    for lo in range(0, full, _BLOCK_GROUP * TIME_BLOCK):
+        starts = times[lo:min(lo + _BLOCK_GROUP * TIME_BLOCK, full):TIME_BLOCK]
+        span = out[:, lo:lo + len(starts) * TIME_BLOCK]
+        # (blocks, group, 1, modes) weights against the (TIME_BLOCK, modes) table
+        shifted = weights[:, None, None, :] * np.exp(-1j * np.outer(starts, lam))[:, None, :]
+        np.vecdot(table, shifted, out=span.reshape(len(weights), len(starts), TIME_BLOCK))
+    if full < on_grid:
+        np.vecdot(table[:on_grid - full], weights[:, None, :] * np.exp(-1j * times[full] * lam),
+                  out=out[:, full:on_grid])
+    out[:, -1] = np.vecdot(np.exp(1j * times[-1] * lam), weights)
     # The propagator is the identity at t = 0: sample the start itself, as
     # integrate does, rather than V V^T applied to it.
     out[:, times == 0.0] = np.array([[atom0] for atom0, _ in blocks])

@@ -59,16 +59,17 @@ def memory_kernel(
     """Mode-summed coupling correlation K(tau); accepts scalar or array tau.
 
     The (modes x taus) phases are formed for at most ``TIME_BLOCK`` taus
-    at once and summed with einsum: a BLAS matvec of this size is slower
-    under threaded BLAS.
+    at once and summed over the modes with ``np.vecdot``, as the exact
+    engine sums its phases: it runs on the calling thread, where a BLAS
+    product of this size starts OpenBLAS's threads.
     """
     tau_arr = np.asarray(tau, dtype=float).ravel()
-    weights = (grid.couplings ** 2).astype(complex)  # einsum then needs no cast buffer
+    weights = grid.couplings[:, None] ** 2  # real, so vecdot's conjugation is moot
     k = np.empty(len(tau_arr), dtype=complex)
     for lo in range(0, len(tau_arr), TIME_BLOCK):
         block = tau_arr[lo:lo + TIME_BLOCK]
-        k[lo:lo + len(block)] = np.einsum(
-            "i,ij->j", weights, np.exp(-1j * np.outer(grid.detunings, block)))
+        np.vecdot(weights, np.exp(-1j * np.outer(grid.detunings, block)), axis=0,
+                  out=k[lo:lo + len(block)])
     if np.isscalar(tau) or np.asarray(tau).ndim == 0:
         return complex(k[0])
     return k

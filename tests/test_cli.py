@@ -466,6 +466,12 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     (["double", "--modes", "3", "--stride", "-2"], ["stride"]),
     (["sweep", "--axis", "theta", "--values", "0.3", "--modes", "3", "--stride", "0"],
      ["stride"]),
+    # a spread max|delta| / min g whose squared eigenvector components overflow
+    *[(["double", "--modes", "3", "--omega-a", omega_a, "--length-ratio", "3", "--tmax", "1e-15",
+        "--profile", profile], ["--omega-a", "--length-ratio", "1e+150"])
+      for omega_a in ("1e160", "1e300") for profile in ("uniform", "sqrtfreq")],
+    (["sweep", "--axis", "theta", "--values", "0.3", "--modes", "3", "--omega-a", "1e160",
+      "--length-ratio", "3", "--tmax", "1e-15"], ["--omega-a", "--length-ratio", "1e+150"]),
 ])
 def test_work_limits_exit_2_before_writing(tmp_path, capsys, argv, named):
     assert main(argv + ["--out", str(tmp_path / "big.csv")]) == 2
@@ -514,14 +520,15 @@ def test_default_stride_counts_the_steps_taken(tmp_path):
     assert np.array_equal(cols["t"][:-1], np.arange(3999.0))
 
 
-@pytest.mark.parametrize("omega_a", ["3e16", "1e17"])
+@pytest.mark.parametrize("omega_a", ["3e16", "1e17", "1e150"])
 @pytest.mark.parametrize("command", [["double"], ["sweep", "--axis", "theta", "--values", "0.5"]])
 def test_wide_spacing_runs_or_exits_2(tmp_path, omega_a, command):
     # a mode spacing of 1e16 and more once rounded the spectrum's outer
-    # brackets onto their poles and failed its check with exit 3
+    # brackets onto their poles and failed its check with exit 3; at 1e150
+    # max|delta| / min g is about 4e149, inside MAX_EXACT_SPREAD
     code = main([*command, "--modes", "3", "--omega-a", omega_a, "--length-ratio", "3",
                  "--tmax", "1e-15", "--out", str(tmp_path / "run.csv")])
-    assert code in (0, 2)
+    assert code == 0 if omega_a == "1e150" else code in (0, 2)
     written = sorted(tmp_path.iterdir())
     if code == 2:
         assert written == []

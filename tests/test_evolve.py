@@ -28,6 +28,7 @@ from djcsim import (
 from djcsim.double import flat_derivative as double_derivative
 from djcsim.evolve import (
     TIME_BLOCK,
+    _BLOCK_GROUP,
     _exact_atoms,
     comb_spectrum,
     generator_double,
@@ -474,6 +475,11 @@ def test_sample_times_stay_float_beyond_int64():
     (7.9375, 0.0625, 1, TIME_BLOCK),  # one partial block, then t_max
     (8.0, 0.0625, 1, TIME_BLOCK + 1),  # one full block, then t_max
     (6.0, 0.004, 5, 301),  # stride > 1, three blocks
+    # one group of blocks summed in one call, then t_max
+    (_BLOCK_GROUP * TIME_BLOCK * 0.0625, 0.0625, 1, _BLOCK_GROUP * TIME_BLOCK + 1),
+    # a full group, a second group of two blocks, then a partial block
+    ((_BLOCK_GROUP + 2) * TIME_BLOCK * 0.0625 + 3.125, 0.0625, 1,
+     (_BLOCK_GROUP + 2) * TIME_BLOCK + 51),
     (9.537, 0.01, 3, 319),  # a shortened last step
     (0.05, 0.1, 1, 2),  # t_max < dt: the start and t_max
     (0.0, 0.1, 1, 1),

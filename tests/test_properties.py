@@ -259,6 +259,8 @@ def powers_of_ten_and_neighbours(first, last):
 @example([1e16, 1e17, 99999999999999994.0, -99999999999999994.0], 1)
 @example([2.0 ** 53, 2.0 ** 53 + 2, -2.0 ** 53], 2)
 @example([5e-324, 1.7976931348623157e308, -5e-324, -1.7976931348623157e308], 4)
+# every cell formatted by %, its NUL padding deleted, last-column cells included
+@example([math.nan, -math.inf, 1e-300, -5e-324, 1e20, 1e-7], 2)
 def test_formatted_rows_are_the_spec_byte_for_byte(values, columns):
     table = np.resize(np.array(values), (-(-len(values) // columns), columns))
     expected = "".join(",".join(SPEC % v for v in row) + "\n" for row in table.tolist())
