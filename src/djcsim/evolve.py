@@ -315,95 +315,107 @@ class CombSpectrum:
     sweeps: int
 
 
-def _secular_roots(delta, g2, origin, lo, hi):
-    """Offsets tau of the roots of f(lam) = lam + sum_k g_k^2 / (delta_k - lam)
-    from their poles delta[origin], each inside its bracket (lo, hi), and the
-    number of sweeps the slowest root took.
+def _model_roots(a, r, g2):
+    """The roots below and above 0 of a tau^2 + r tau - g2 = 0 (a, g2 > 0).
 
-    Each sweep evaluates f, its derivative and the split of both into the
-    poles left of the root (k < j) and right of it, for the roots still
-    open, and takes a model step that lies inside the bracket, else the
-    bracket's midpoint.  An interior root's model is the middle way (R.-C.
-    Li, LAPACK Working Note 89, 1994): c + s / (delta_{j-1} - lam) +
-    S / (delta_j - lam), with s and S matching the derivatives of the left
-    and right pole sums and c matching f.  The linear term's derivative 1
-    goes to the pole farther from the root: on a weak-coupling comb a root
-    next to its pole can lie far from it on the scale of the coupling, and
-    a line modelled as a heavy pole beside it costs a sweep per halving.
-    The first sweep, and every sweep of the two outer roots, instead takes
-    the root's own pole exactly and the rest of f as a line, which is exact
-    for one mode and a better start on a weak-coupling comb than the
-    bracket midpoint.  A root stops when |f| is at the rounding level
+    q / a and -g2 / q are the two roots, each formed without cancellation;
+    their product -g2 / a is negative, so one lies on each side of 0.
+    """
+    q = -0.5 * (r + np.copysign(np.hypot(r, 2.0 * np.sqrt(a * g2)), r))
+    first, second = q / a, -g2 / q
+    return np.minimum(first, second), np.maximum(first, second)
+
+
+def _pole_line(delta, g2, origin, t, gap, term):
+    """The rest of f beside each row's own pole delta[origin], as a line.
+
+    At lam = delta[origin] + t it returns lam + sum_{k != origin}
+    g_k^2 / (delta_k - lam), its slope 1 + sum_{k != origin}
+    g_k^2 / (delta_k - lam)^2, and sum_{k != origin} |g_k^2 / (delta_k - lam)|,
+    with gap and term as (rows x n) buffers.
+    """
+    pole = delta[origin]
+    # delta_k - lam, formed from the exact delta_k - pole
+    np.subtract(delta, pole[:, None], out=gap)
+    gap -= t[:, None]
+    gap[np.arange(len(origin)), origin] = np.inf  # drops the own pole's term
+    np.divide(g2, gap, out=term)
+    rest = pole + t + term.sum(axis=1)
+    np.divide(term, gap, out=gap)  # g_k^2 / (delta_k - lam)^2
+    np.abs(term, out=term)
+    return rest, 1.0 + gap.sum(axis=1), term.sum(axis=1)
+
+
+def _secular_roots(delta, g2, reach):
+    """Roots of f(lam) = lam + sum_k g_k^2 / (delta_k - lam), each as its
+    pole delta[origin] and its offset tau from it, and the number of sweeps
+    the slowest root took.
+
+    Root j lies between delta[j-1] and delta[j]; the outer roots lie within
+    the spectrum of diag(0, delta) widened by reach, the norm of the
+    coupling column.  Every root has one model: its own pole delta_o exact
+    and the rest of f the line through its value and slope at the current
+    offset t, rest + slope (tau - t) - g_o^2 / tau = 0.  Times tau that is
+    a quadratic with one root on each side of the pole, exact for one mode.
+
+    Taken at each pole (t = 0), the models give interior root j two
+    estimates, one above pole j-1 and one below pole j.  At most one of
+    them leaves the gap of width w: both would take the first model to be
+    negative at delta_j and the second positive at delta_{j-1}, but the
+    first's value there exceeds the second's by at least
+    w + (g_{j-1}^2 + g_j^2) / w.  The root is held as the offset from the
+    pole whose estimate lies nearer, so that lam - delta_k keeps full
+    relative accuracy however close the root is to that pole, starts at
+    that estimate and is bracketed by the whole gap.  The outer roots
+    start mid-bracket.
+
+    Each sweep evaluates f, the line and its slope for the roots still
+    open, narrows each bracket by the sign of f (it rises between poles)
+    and solves the model on the root's side of its pole, else takes the
+    bracket's midpoint.  A root stops when |f| is at the rounding level
     8u (|lam| + sum_k |g_k^2 / (delta_k - lam)|), when its step does not
     move it, or when its bracket holds no other float.
     """
     n = len(delta)
-    pole = delta[origin]
-    # offsets of the poles left and right of each root (one of them is 0)
-    below = np.concatenate(([-np.inf], delta)) - pole
-    above = np.concatenate((delta, [np.inf])) - pole
-    tau = 0.5 * (lo + hi)
-    columns = np.arange(n)
-    # two (n+1) x n buffers and a mask; a sweep uses one row per open root
+    # two (n+1) x n buffers; a sweep uses one row per open root
     gaps = np.empty((n + 1, n))
     terms = np.empty((n + 1, n))
-    left_of = np.empty((n + 1, n), dtype=bool)
+    poles = np.arange(n)
+    rest, slope, _ = _pole_line(delta, g2, poles, np.zeros(n), gaps[:n], terms[:n])
+    below, above = _model_roots(slope, rest, g2)
+    # root j from pole j-1 and from pole j; at least one lies in the gap
+    up, down = above[:-1], below[1:]
+    nearer_up = up <= -down
+    width = np.diff(delta)
+    origin = np.concatenate(([0], np.where(nearer_up, poles[:-1], poles[1:]), [n - 1]))
+    # one mode puts its roots +-G on the outer ends: admit them
+    lo = np.concatenate(([np.nextafter(min(0.0, -delta[0]) - reach, -np.inf)],
+                         np.where(nearer_up, 0.0, -width), [0.0]))
+    hi = np.concatenate(([0.0], np.where(nearer_up, width, 0.0),
+                         [np.nextafter(max(0.0, -delta[-1]) + reach, np.inf)]))
+    tau = np.concatenate(([0.5 * lo[0]], np.where(nearer_up, up, down), [0.5 * hi[-1]]))
+    side_up = origin < np.arange(n + 1)  # the root lies above its pole
     open_ = np.arange(n + 1)
     sweeps = 0
     while len(open_):
         sweeps += 1
         rows = len(open_)
-        gap, term, left = gaps[:rows], terms[:rows], left_of[:rows]
         t = tau[open_]
-        # delta_k - lam_j, formed from the exact delta_k - pole_j
-        np.subtract(delta, pole[open_, None], out=gap)
-        gap -= t[:, None]
-        np.less(columns, open_[:, None], out=left)
-        np.divide(g2, gap, out=term)
-        total = term.sum(axis=1)
-        psi = term.sum(axis=1, where=left)
-        lam = pole[open_] + t
-        f = lam + total
-        noise = 8.0 * 2.0 ** -53 * (np.abs(lam) + total - 2.0 * psi)
-        np.divide(term, gap, out=gap)  # g_k^2 / (delta_k - lam)^2
-        slope_left = gap.sum(axis=1, where=left)
-        slope_right = gap.sum(axis=1) - slope_left
-        # f rises between its poles
+        own = origin[open_]
+        rest, slope, size = _pole_line(delta, g2, own, t, gaps[:rows], terms[:rows])
+        pull = g2[own] / t  # minus the own pole's term
+        f = rest - pull
+        noise = 8.0 * 2.0 ** -53 * (np.abs(delta[own] + t) + size + np.abs(pull))
         low = lo[open_] = np.where(f < 0.0, t, lo[open_])
         high = hi[open_] = np.where(f > 0.0, t, hi[open_])
-
-        # The model's step eta solves a2 eta^2 + a1 eta + a0 = 0.
-        own_pole = origin[open_]
-        own_left = own_pole < open_  # the root's pole is delta_{j-1}
-        d_left = below[open_] - t
-        d_right = above[open_] - t
-        # the linear term's 1 joins the pole on the far side
-        s = slope_left + ~own_left
-        S = slope_right + own_left
-        product = d_left * d_right
-        a2 = f - s * d_left - S * d_right  # the middle way's c
-        a1 = product * (s + S) - f * (d_left + d_right)
-        a0 = product * f
-        line = (sweeps == 1) | (open_ == 0) | (open_ == n)
-        # own pole exact, rest a line r + r' eta: its gap is -t
-        own = g2[own_pole] / t
-        slope = 1.0 + slope_left + slope_right - own / t
-        a2 = np.where(line, slope, a2)
-        a1 = np.where(line, f + own + slope * t, a1)
-        a0 = np.where(line, t * f, a0)
-        # Either model has one root on each side of a pole, so at most one
-        # lies in the bracket.  q / a2 and a0 / q are the two roots, each
-        # formed without cancellation.
-        q = -0.5 * (a1 + np.copysign(np.sqrt(np.abs(a1 * a1 - 4.0 * a2 * a0)), a1))
-        step = t + q / a2
-        other = t + a0 / q
-        step = np.where((low < other) & (other < high), other, step)
+        below, above = _model_roots(slope, rest - slope * t, g2[own])
+        step = np.where(side_up[open_], above, below)
         step = np.where((low < step) & (step < high), step, 0.5 * (low + high))
         done = ((np.abs(f) <= noise) | (step == t)
                 | ~((low < step) & (step < high)))  # NaN ends here
         tau[open_] = np.where(done, t, step)
         open_ = open_[~done]
-    return tau, sweeps
+    return origin, tau, sweeps
 
 
 def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
@@ -412,13 +424,10 @@ def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
     The eigenvalues solve lam = sum_k g_k^2 / (lam - delta_k): one below the
     lowest detuning, one between each adjacent pair and one above the
     highest (the detunings increase strictly and the couplings are nonzero,
-    as ``build_mode_grid`` makes them).  The secular function at the middle
-    of each bracket says which half holds the root; each root is then
-    solved by ``_secular_roots`` as the offset tau from the pole it lies
-    closer to, so that lam - delta_k keeps full relative accuracy however
-    close the root is to that pole.  The eigenvector of lam is
-    a * (1, g_k / (lam - delta_k)) with
-    a = 1 / sqrt(1 + sum_k g_k^2 / (lam - delta_k)^2).
+    as ``build_mode_grid`` makes them).  ``_secular_roots`` solves each as
+    its offset tau from a pole next to it, starting from a model taken at
+    the poles.  The eigenvector of lam is a * (1, g_k / (lam - delta_k))
+    with a = 1 / sqrt(1 + sum_k g_k^2 / (lam - delta_k)^2).
 
     The photon rows of A v - lam v are then zero by construction, and the
     atom row, a * (S(lam) - lam) with S(lam) = sum_k g_k^2 / (lam - delta_k),
@@ -430,36 +439,11 @@ def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
     delta = grid.detunings
     g = grid.couplings
     g2 = g * g
-    n = grid.n
-    roots = np.arange(n + 1)
-    # Root j lies between lower[j] and upper[j]; the outer brackets are the
-    # spectrum of diag(0, delta) widened by the norm of the coupling column.
-    reach = grid.collective_coupling
-    lower = np.concatenate(([min(0.0, delta[0]) - reach], delta))
-    upper = np.concatenate((delta, [max(0.0, delta[-1]) + reach]))
-    mid = 0.5 * (lower + upper)
+    roots = np.arange(grid.n + 1)
     # nonfinite intermediates show up in the residual, which the run checks
     with np.errstate(all="ignore"):
-        low_half = mid - np.sum(g2 / (mid[:, None] - delta), axis=1) > 0.0
-        # the secular function rises between poles: a positive value at the
-        # midpoint puts the root in the lower half, next to the lower pole
-        origin = np.where(low_half, roots - 1, roots)
-        origin[0], origin[-1] = 0, n - 1  # the outer roots have one pole each
+        origin, tau, sweeps = _secular_roots(delta, g2, grid.collective_coupling)
         pole = delta[origin]
-        lo = np.where(low_half, lower, mid) - pole
-        hi = np.where(low_half, mid, upper) - pole
-        # Where G is within a few ulps of the outer poles, lower[0] or
-        # upper[-1] and the midpoint round onto the pole: take that outer
-        # bracket whole, as offsets -G and +G from its pole.
-        if not lower[0] < mid[0] < delta[0]:
-            lo[0], hi[0] = min(0.0, -delta[0]) - reach, 0.0
-        if not delta[-1] < mid[-1] < upper[-1]:
-            lo[-1], hi[-1] = 0.0, max(0.0, -delta[-1]) + reach
-        # one mode puts its roots +-G on the outer ends: admit them
-        lo[0] = np.nextafter(lo[0], -np.inf)
-        hi[-1] = np.nextafter(hi[-1], np.inf)
-        tau, sweeps = _secular_roots(delta, g2, origin, lo, hi)
-
         eigenvalues = pole + tau
         # one (n+1) x n buffer: delta_k - pole_j, the gaps lam_j - delta_k,
         # then g_k / gaps, then the photon components

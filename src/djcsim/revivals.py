@@ -56,7 +56,8 @@ class RevivalReport:
 def memory_kernel(
     grid: ModeGrid, tau: Union[float, np.ndarray]
 ) -> Union[complex, np.ndarray]:
-    """Mode-summed coupling correlation K(tau); accepts scalar or array tau.
+    """Mode-summed coupling correlation K(tau): a complex for a scalar tau,
+    else an array in the shape of tau.
 
     The (modes x taus) phases are formed for at most ``TIME_BLOCK`` taus
     at once and summed over the modes with ``np.vecdot``, as the exact
@@ -70,9 +71,9 @@ def memory_kernel(
         block = tau_arr[lo:lo + TIME_BLOCK]
         np.vecdot(weights, np.exp(-1j * np.outer(grid.detunings, block)), axis=0,
                   out=k[lo:lo + len(block)])
-    if np.isscalar(tau) or np.asarray(tau).ndim == 0:
+    if np.ndim(tau) == 0:
         return complex(k[0])
-    return k
+    return k.reshape(np.shape(tau))
 
 
 def tau_count(tau_max: float, dtau: float) -> int:

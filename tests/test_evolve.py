@@ -410,13 +410,15 @@ def bisected_eigenvalues(grid):
             lo = np.where(open_ & ~rising, tau, lo)
 
 
-#: The reference comb at every size, and two weak-coupling combs whose
-#: spacing is far above the coupling.
+#: The reference comb at every size, two weak-coupling combs whose spacing
+#: is far above the coupling, and a strong-coupling comb whose spacing
+#: (0.029) is far below it.
 SOLVER_GRIDS = [
     *[reference_config(n, 3480.0, profile) for n in (1, 3, 19, 49, 99, 499)
       for profile in ("uniform", "sqrtfreq")],
     SystemConfig(omega_a=19489.3, length_ratio=224.14, n_modes=5, coupling_profile="sqrtfreq"),
     SystemConfig(omega_a=13823.9, length_ratio=292.29, n_modes=37, coupling_profile="uniform"),
+    SystemConfig(omega_a=100.0, length_ratio=3480.0, n_modes=99),
 ]
 
 
@@ -433,11 +435,24 @@ def test_comb_spectrum_converges_in_few_sweeps(config):
     assert 1 <= comb_spectrum(build_mode_grid(config)).sweeps <= 8
 
 
+@pytest.mark.parametrize("n,length_ratio,omega_a", [
+    (3, 3.0, 1e20), (3, 3.0, 1e50), (3, 3.0, 1e150), (101, 3000.0, 1e149),
+])
+def test_comb_spectrum_converges_in_few_sweeps_at_wide_spacing(n, length_ratio, omega_a):
+    # Roots lie about g^2 / spacing from their poles, far nearer than the
+    # bracket's middle: a start there fell back to halving the bracket.
+    grid = build_mode_grid(SystemConfig(omega_a=omega_a, length_ratio=length_ratio,
+                                        n_modes=n))
+    spectrum = comb_spectrum(grid)
+    assert spectrum.sweeps <= 8
+    assert spectrum.residual <= 1e-10 and spectrum.orthogonality <= 1e-10
+
+
 @pytest.mark.parametrize("omega_a", [1e16, 3e16, 1e17, 1e20, 1e100])
 def test_comb_spectrum_brackets_outer_roots_at_wide_spacing(omega_a):
     # From a spacing of about 1e16, G = 1.7 is within an ulp of the outer
     # poles +-omega_a / 3, so delta_0 - G rounds onto delta_0: the outer
-    # brackets are then offsets -G and +G from their poles.
+    # brackets must be held as offsets -G and +G from their poles.
     grid = build_mode_grid(SystemConfig(omega_a=omega_a, length_ratio=3.0, n_modes=3))
     spectrum = comb_spectrum(grid)
     assert spectrum.residual <= 1e-10 and spectrum.orthogonality <= 1e-10

@@ -72,6 +72,11 @@ def test_kernel_scalar_and_array_forms_agree():
     array_values = memory_kernel(grid, taus)
     for tau, expected in zip(taus, array_values):
         assert memory_kernel(grid, float(tau)) == pytest.approx(expected)
+    # an array keeps its shape, zeros included
+    assert memory_kernel(grid, np.zeros((2, 3))).shape == (2, 3)
+    grid_values = memory_kernel(grid, np.stack([taus, taus[::-1]]))
+    np.testing.assert_allclose(grid_values, np.stack([array_values, array_values[::-1]]),
+                               rtol=0.0, atol=1e-12)
 
 
 def test_kernel_phases_are_formed_in_blocks(monkeypatch):
