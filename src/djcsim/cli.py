@@ -22,10 +22,11 @@ command-line flags win over file values.  The single subcommand propagates
 with RK4, which checks its stability limit before the first step; double
 runs and every sweep point use the exact single-comb engine (see _plan).
 Every CSV number is written as %.17g, which reads back to the same float64.
-The cells are produced in numpy blocks of rows (csvcells), byte for byte
-as %.17g writes them: each cell's layout is masked to the bytes it keeps
-and the NUL bytes left are deleted.  Python's % formats only the values
-outside its fast path (nonfinite, |v| <= 1e-6 and |v| >= 1e17).
+The cells are produced in numpy blocks of 512 rows (csvcells), byte for
+byte as %.17g writes them: each cell is laid out in 32 bytes, masked to
+the bytes it keeps, and the NUL bytes left are deleted.  Python's %
+formats only the values outside its fast path (nonfinite, |v| <= 1e-6
+and |v| >= 1e17).
 Exit codes: 0 success, 2 invalid parameters, paths or a run over the work
 limits, 3 numerical failure (nonfinite amplitudes, or an exact spectrum
 that fails its check).
@@ -88,10 +89,12 @@ MAX_EXACT_SPREAD = 1e150
 _COLLAPSE_REGIME = 5.0
 #: Phase rounding (radians) above which a run warns: the column tolerance.
 _PHASE_TOL = 1e-6
-#: CSV rows formatted at once, chosen by peak memory: on an 11-column dense
-#: sweep, blocks of 1024 rows raised a run's peak by 1.5 MiB over blocks of
-#: 256, and neither 128 nor 1024 rows formatted measurably faster.
-_CSV_BLOCK = 256
+#: CSV rows formatted at once.  A block costs about 150 us of numpy call
+#: overhead whatever its size, and past about 512 rows of 11 columns its
+#: arrays outgrow the processor's caches: a dense sweep's 24.5k rows took
+#: 52, 42, 52 and 50 ms at 256, 512, 768 and 1024 rows (medians of 21,
+#: 2-core Xeon VM, 2 MiB L2 per core).  A 512 x 11 block peaks at 0.55 MiB.
+_CSV_BLOCK = 512
 
 _PI_EXPR = re.compile(r"^\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$")
 

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,31 @@ def test_csv_cells_outside_the_fast_path_are_the_spec(tmp_path, values):
     expected = "t,c0,c1,c2\n" + "".join(
         ",".join("%.17g" % v for v in row) + "\n" for row in table.T.tolist())
     assert out.read_bytes() == expected.encode("ascii")
+
+
+def test_csv_writer_peak_memory(tmp_path):
+    import djcsim.cli as cli
+
+    def peak(rows):
+        # a dense sweep's columns: times, amplitudes of either sign, and a
+        # norm that is exactly 1
+        times = np.linspace(0.0, 9.8, rows)
+        records = {f"c{i}": np.sin(times * (i + 1)) * 0.7 for i in range(9)}
+        records["norm"] = np.ones(rows)
+        tracemalloc.start()
+        try:
+            cli._write_csv(str(tmp_path / "rows.csv"), "t", times, records)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the formatter's tables, built once per process
+    block = peak(cli._CSV_BLOCK)
+    # about 100 bytes a cell of one block: the mantissas' products, then
+    # the layouts, their keys and the joined bytes
+    assert block <= 150 * 11 * cli._CSV_BLOCK
+    # and no more for 40 blocks than for one
+    assert peak(20000) <= block + 16384
 
 
 def test_double_csv_holds_run_double_exactly(tmp_path):

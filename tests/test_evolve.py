@@ -30,6 +30,7 @@ from djcsim.evolve import (
     TIME_BLOCK,
     _BLOCK_GROUP,
     _exact_atoms,
+    _secular_roots,
     comb_spectrum,
     generator_double,
     generator_single,
@@ -382,32 +383,38 @@ def test_comb_spectrum_reports_a_nan_grid():
         run_single(bad, init_atoms_entangled(0.3, bad), 1.0, dt=0.1, engine="exact")
 
 
-def bisected_eigenvalues(grid):
+def bisected_roots(grid, origin=None):
     """The arrowhead's eigenvalues by plain bisection of every root together,
-    each as its offset from the nearer pole, until no bracket holds another
-    float: the solver comb_spectrum used before its model steps."""
+    each as its pole delta[origin] and its offset from it, until no bracket
+    holds another float.  By default an interior root takes the pole on its
+    side of the gap's midpoint, where f changes sign.  Every bracket is
+    formed as offsets from its pole (the whole gap on the pole's side, or
+    the outer roots' reach), so no end rounds onto a pole however wide the
+    spacing, and f is evaluated only strictly inside a bracket, never on a
+    pole."""
     delta, g2, n = grid.detunings, grid.couplings ** 2, grid.n
-    roots = np.arange(n + 1)
+    width = np.diff(delta)
+    if origin is None:
+        half = 0.5 * width
+        low_half = (delta[:-1] + half
+                    - np.sum(g2 / (half[:, None] - (delta - delta[:-1, None])), axis=1) > 0.0)
+        origin = np.concatenate(([0], np.where(low_half, np.arange(n - 1), np.arange(1, n)),
+                                 [n - 1]))
+    up = origin[1:-1] < np.arange(1, n)  # an interior root above its pole
     reach = grid.collective_coupling
-    lower = np.concatenate(([min(0.0, delta[0]) - reach], delta))
-    upper = np.concatenate((delta, [max(0.0, delta[-1]) + reach]))
-    mid = 0.5 * (lower + upper)
-    low_half = mid - np.sum(g2 / (mid[:, None] - delta), axis=1) > 0.0
-    origin = np.where(low_half, roots - 1, roots)
-    origin[0], origin[-1] = 0, n - 1
+    lo = np.concatenate(([min(0.0, -delta[0]) - reach], np.where(up, 0.0, -width), [0.0]))
+    hi = np.concatenate(([0.0], np.where(up, width, 0.0), [max(0.0, -delta[-1]) + reach]))
     pole = delta[origin]
-    lo = np.where(low_half, lower, mid) - pole
-    hi = np.where(low_half, mid, upper) - pole
     offsets = delta - pole[:, None]
-    with np.errstate(divide="ignore"):
-        while True:
-            tau = 0.5 * (lo + hi)
-            open_ = (lo < tau) & (tau < hi)
-            if not open_.any():
-                return pole + tau
-            rising = pole + tau - np.sum(g2 / (tau[:, None] - offsets), axis=1) > 0.0
-            hi = np.where(open_ & rising, tau, hi)
-            lo = np.where(open_ & ~rising, tau, lo)
+    while True:
+        tau = 0.5 * (lo + hi)
+        open_ = np.flatnonzero((lo < tau) & (tau < hi))
+        if not open_.size:
+            return origin, tau
+        t = tau[open_]
+        rising = pole[open_] + t - np.sum(g2 / (t[:, None] - offsets[open_]), axis=1) > 0.0
+        hi[open_] = np.where(rising, t, hi[open_])
+        lo[open_] = np.where(rising, lo[open_], t)
 
 
 #: The reference comb at every size, two weak-coupling combs whose spacing
@@ -426,7 +433,8 @@ SOLVER_GRIDS = [
 def test_comb_spectrum_matches_bisection(config):
     grid = build_mode_grid(config)
     lam = comb_spectrum(grid).eigenvalues
-    reference = bisected_eigenvalues(grid)
+    origin, tau = bisected_roots(grid)
+    reference = grid.detunings[origin] + tau
     assert np.all(np.abs(lam - reference) <= 4e-15 * (1.0 + np.abs(reference)))
 
 
@@ -446,6 +454,20 @@ def test_comb_spectrum_converges_in_few_sweeps_at_wide_spacing(n, length_ratio, 
     spectrum = comb_spectrum(grid)
     assert spectrum.sweeps <= 8
     assert spectrum.residual <= 1e-10 and spectrum.orthogonality <= 1e-10
+
+
+@pytest.mark.parametrize("n,length_ratio,omega_a", [
+    (3, 3.0, 1e20), (3, 3.0, 1e50), (3, 3.0, 1e150), (101, 3000.0, 1e100), (101, 3000.0, 1e149),
+])
+def test_comb_spectrum_offsets_match_bisection_at_wide_spacing(n, length_ratio, omega_a):
+    # Every root lies within an ulp of its pole, so the eigenvalues round to
+    # the poles and only the offsets tell a wrong root from a right one.
+    grid = build_mode_grid(SystemConfig(omega_a=omega_a, length_ratio=length_ratio,
+                                        n_modes=n))
+    origin, tau, _ = _secular_roots(grid.detunings, grid.couplings ** 2,
+                                    grid.collective_coupling)
+    _, reference = bisected_roots(grid, origin)
+    assert np.all(np.abs(tau - reference) <= 4e-15 * np.abs(reference))
 
 
 @pytest.mark.parametrize("omega_a", [1e16, 3e16, 1e17, 1e20, 1e100])

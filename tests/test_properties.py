@@ -261,6 +261,9 @@ def powers_of_ten_and_neighbours(first, last):
 @example([5e-324, 1.7976931348623157e308, -5e-324, -1.7976931348623157e308], 4)
 # every cell formatted by %, its NUL padding deleted, last-column cells included
 @example([math.nan, -math.inf, 1e-300, -5e-324, 1e20, 1e-7], 2)
+# the point after every digit, and none (x = 16); trailing zeros before it
+@example([s * 1.2345678901234567 * 10.0 ** x for x in range(17) for s in (1, -1)]
+         + [10.0, 1234.5, 99999999.999999985], 3)
 def test_formatted_rows_are_the_spec_byte_for_byte(values, columns):
     table = np.resize(np.array(values), (-(-len(values) // columns), columns))
     expected = "".join(",".join(SPEC % v for v in row) + "\n" for row in table.tolist())
