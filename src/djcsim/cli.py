@@ -278,12 +278,14 @@ def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport
             pass
     else:
         print("dead intervals: none")
-    if report.revivals:
-        for event in report.revivals[:5]:
+    # a peak at the first sample is the initial state, not a revival
+    revivals = [event for event in report.revivals if event.peak_time != traj.times[0]]
+    if revivals:
+        for event in revivals[:5]:
             print(f"revival: onset={event.onset:.4f} peak_t={event.peak_time:.4f} "
                   f"peak={event.peak_value:.6f}")
-        if len(report.revivals) > 5:
-            print(f"({len(report.revivals) - 5} more revivals not shown)")
+        if len(revivals) > 5:
+            print(f"({len(revivals) - 5} more revivals not shown)")
     else:
         print("revivals: none detected")
     print(f"wrote {out_path}")

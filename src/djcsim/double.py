@@ -97,7 +97,8 @@ def flat_derivative(grid: ModeGrid) -> Callable[[np.ndarray], np.ndarray]:
     """Right-hand side of the double-excitation equations over packed vectors.
 
     All reductions are plain ordered matrix-vector products, so results are
-    bitwise reproducible for a fixed grid.
+    bitwise reproducible for a fixed grid.  ``deriv(y)`` returns a new array
+    and neither keeps nor modifies ``y``.
     """
     n = grid.n
     delta = grid.detunings

@@ -145,6 +145,9 @@ def integrate(
         Maps a flat complex vector to its time derivative (linear,
         time-independent).  It must return a fresh array on every call:
         the stage sums are accumulated in place in the returned arrays.
+        Each step's later stages pass it one scratch buffer, reused across
+        the stages and steps of the run, so it must neither keep nor
+        modify its argument.
     state0 : ndarray
         Initial packed vector.
     t_max, dt : float
@@ -186,13 +189,20 @@ def integrate(
         rows.append(observe(t, vec))
 
     sample(y)
+    stage = np.empty_like(y)  # the input y + (c h) k of each later stage, in turn
     for i in range(n_steps):
         h = dt if i + 1 < n_steps else t_max - (n_steps - 1) * dt
         half = 0.5 * h
         k1 = deriv(y)
-        k2 = deriv(y + half * k1)
-        k3 = deriv(y + half * k2)
-        k4 = deriv(y + h * k3)
+        np.multiply(k1, half, out=stage)
+        np.add(stage, y, out=stage)
+        k2 = deriv(stage)
+        np.multiply(k2, half, out=stage)
+        np.add(stage, y, out=stage)
+        k3 = deriv(stage)
+        np.multiply(k3, h, out=stage)
+        np.add(stage, y, out=stage)
+        k4 = deriv(stage)
         # k1 + 2 k2 + 2 k3 + k4, summed left to right in place
         k2 *= 2.0
         k2 += k1
@@ -200,7 +210,8 @@ def integrate(
         k2 += k3
         k2 += k4
         k2 *= h / 6.0
-        y = y + k2
+        k2 += y
+        y = k2
         if (i + 1) % sample_stride == 0 or i + 1 == n_steps:
             sample(y)
 

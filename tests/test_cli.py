@@ -14,8 +14,8 @@ import djcsim
 from djcsim import (IntegrationError, SystemConfig, build_mode_grid, default_step,
                     first_kernel_echo, memory_kernel, retardation_time, run_double)
 from djcsim.cli import main, parse_number
-from djcsim.evolve import step_count
-from djcsim.revivals import tau_count
+from djcsim.evolve import Trajectory, step_count
+from djcsim.revivals import detect_revivals, tau_count
 
 SINGLE_HEADER = "t,c_ab,pop1,pop2,pop_cav_a,pop_cav_b,norm,re_c1,im_c1,re_c2,im_c2"
 DOUBLE_HEADER = "t,c_ab,p11,p2,p3,p4,p00,norm"
@@ -102,6 +102,24 @@ def test_double_run_columns_and_summary(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "initial concurrence: 1.000000" in captured
     assert "Rabi-periodic" in captured  # single-mode note on predicted times
+
+
+def test_summary_lists_no_revival_at_the_first_sample(tmp_path, capsys):
+    # the sudden-death benchmark run: its trace starts at a local maximum
+    out = tmp_path / "esd.csv"
+    code = main(["double", "--modes", "49", "--length-ratio", "1720.0",
+                 "--omega-a", "11100.0", "--theta", "0.9708804880432356",
+                 "--out", str(out)])
+    assert code == 0
+    printed = re.findall(r"^revival: onset=\S+ peak_t=(\S+) peak=(\S+)$",
+                         capsys.readouterr().out, re.MULTILINE)
+    _, cols = read_csv(out)
+    report = detect_revivals(Trajectory(cols["t"], {"c_ab": cols["c_ab"]}))
+    # the library still reports the t = 0 peak; only the summary drops it
+    assert report.revivals[0].peak_time == 0.0
+    expected = [(f"{e.peak_time:.4f}", f"{e.peak_value:.6f}") for e in report.revivals[1:6]]
+    assert printed == expected
+    assert len(expected) == 3
 
 
 def test_angle_convention_controls_sudden_death(tmp_path):

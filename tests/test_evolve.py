@@ -245,7 +245,7 @@ def textbook_rk4(deriv, y, t_max, dt, stride):
     return np.array(samples)
 
 
-@pytest.mark.parametrize("kind,n", [("single", 1), ("single", 19), ("double", 3)])
+@pytest.mark.parametrize("kind,n", [("single", 1), ("single", 19), ("single", 99), ("double", 3)])
 def test_integrate_is_textbook_rk4_bit_for_bit(kind, n):
     grid = build_mode_grid(reference_config(n, 670.0, profile="sqrtfreq"))
     make = single_derivative if kind == "single" else double_derivative
@@ -258,6 +258,46 @@ def test_integrate_is_textbook_rk4_bit_for_bit(kind, n):
                      observe=lambda t, y: {"vec": y.copy()})
     expected = textbook_rk4(make(grid), y0, t_max, dt, 7)
     assert traj.records["vec"].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind,n", [("single", 19), ("double", 3)])
+def test_integrate_never_writes_into_a_sampled_vector(kind, n):
+    # observe keeps each vector as handed out; a later stage or step writing
+    # into one of them would change the kept samples
+    grid = build_mode_grid(reference_config(n, 670.0, profile="sqrtfreq"))
+    make = single_derivative if kind == "single" else double_derivative
+    dim = 2 + 2 * n + (n * n if kind == "double" else 0)
+    rng = np.random.default_rng(n)
+    y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    dt = default_step(grid)
+    t_max = 60.5 * dt
+    kept = []
+
+    def keep(t, y):
+        kept.append(y)
+        return {}
+
+    integrate(make(grid), y0, t_max, dt, sample_stride=1, observe=keep)
+    expected = textbook_rk4(make(grid), y0, t_max, dt, 1)
+    assert len({id(y) for y in kept}) == len(kept)
+    assert np.array(kept).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["single", "double"])
+def test_flat_derivatives_return_a_new_array(kind):
+    n = 5
+    grid = build_mode_grid(reference_config(n, 670.0, profile="sqrtfreq"))
+    deriv = (single_derivative if kind == "single" else double_derivative)(grid)
+    dim = 2 + 2 * n + (n * n if kind == "double" else 0)
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    before = y.copy()
+    first = deriv(y)
+    assert not np.shares_memory(first, y)
+    assert y.tobytes() == before.tobytes()
+    second = deriv(y)
+    assert not np.shares_memory(second, first)
+    assert second.tobytes() == first.tobytes()
 
 
 @pytest.mark.parametrize("n,length_ratio", [(1, 670.0), (19, 670.0), (99, 3480.0)])
