@@ -54,8 +54,9 @@ from .evolve import (
     run_single,
     step_count,
 )
-from .model import ModeGrid, SystemConfig, build_mode_grid, retardation_time
+from .model import COUPLING_PROFILES, ModeGrid, SystemConfig, build_mode_grid, retardation_time
 from .revivals import (
+    KERNEL_ROUND_TRIPS,
     RevivalReport,
     detect_revivals,
     first_rephasing_maximum,
@@ -74,9 +75,11 @@ _SWEEP_DESTS = {"theta": "theta", "n_modes": "modes", "length_ratio": "length_ra
 MAX_SAMPLES = 10 ** 6
 #: Most steps one RK4 run may take.
 MAX_RK4_STEPS = 10 ** 7
-#: Most modes per cavity for the exact engine, whose spectrum peaks at
-#: about four (n+1) x n float64 arrays (122 MiB at n = 1999).
-MAX_EXACT_MODES = 2001
+#: Most modes per cavity for every subcommand.  The exact engine's spectrum
+#: sets it: it peaks at about four (n+1) x n float64 arrays (122 MiB at
+#: n = 1999).  RK4 and the kernel trace cost less per mode, but grow with n
+#: unbounded by the other limits.
+MAX_MODES = 2001
 #: Least mode spacing of a multimode grid for the exact engine: its
 #: eigenvector components g_k / (lambda - delta_k) grow as 1 / spacing, and
 #: their squares overflow from a spacing of about 1e-154 down (n = 3 to 2001).
@@ -150,11 +153,11 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help="cavity length over atomic wavelength (default 670)")
     sub.add_argument("--omega-a", dest="omega_a", type=float, default=4840.0,
                      help="atomic frequency in vacuum-Rabi units (default 4840)")
-    sub.add_argument("--profile", choices=("uniform", "sqrtfreq"), default="sqrtfreq",
+    sub.add_argument("--profile", choices=COUPLING_PROFILES, default="sqrtfreq",
                      help="coupling profile across modes (default sqrtfreq)")
     sub.add_argument("--tmax", type=float, default=None,
                      help="window length; default 5 round trips, or two Rabi cycles for "
-                          "1 mode (kernel: 3 round trips)")
+                          f"1 mode (kernel: {KERNEL_ROUND_TRIPS} round trips)")
     sub.add_argument("--dt", type=float, default=None,
                      help="integration step (kernel: tau sample step); default derived from the grid")
     sub.add_argument("--out", default=None, help="output CSV path")
@@ -214,8 +217,12 @@ def _build_parser():
 
 
 def _make_config(args: argparse.Namespace, **theta) -> SystemConfig:
-    return SystemConfig(omega_a=args.omega_a, length_ratio=args.length_ratio,
-                        n_modes=args.modes, coupling_profile=args.profile, **theta)
+    config = SystemConfig(omega_a=args.omega_a, length_ratio=args.length_ratio,
+                          n_modes=args.modes, coupling_profile=args.profile, **theta)
+    if config.n_modes > MAX_MODES:
+        raise ValueError(f"{config.n_modes} modes exceed the limit of {MAX_MODES}, which the "
+                         f"exact engine's spectrum memory sets; lower --modes")
+    return config
 
 
 def _default_periods(config: SystemConfig) -> Tuple[int, float]:
@@ -336,9 +343,6 @@ def _plan(args: argparse.Namespace) -> _Run:
     # Double runs and every sweep point use the exact engine.
     engine = "rk4" if args.command == "single" else "exact"
     rk4 = engine == "rk4"
-    if not rk4 and config.n_modes > MAX_EXACT_MODES:
-        raise ValueError(f"{config.n_modes} modes exceed the exact engine's limit of "
-                         f"{MAX_EXACT_MODES}; lower --modes")
     grid = build_mode_grid(config)
     t_max, dt = _window(args, *_default_periods(config),
                         default_step(grid) * (0.5 if scenario == "double" else 1.0), args.stride)
@@ -402,7 +406,7 @@ def _run_kernel(args: argparse.Namespace) -> int:
     config = _make_config(args)
     grid = build_mode_grid(config)
     t_r = retardation_time(config)
-    tau_max, dtau = _window(args, 3, t_r, t_r / 400.0)
+    tau_max, dtau = _window(args, KERNEL_ROUND_TRIPS, t_r, t_r / 400.0)
     count = tau_count(tau_max, dtau)
     _check_samples(count, "raise --dt or lower --tmax")
     taus = np.arange(count) * dtau

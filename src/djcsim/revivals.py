@@ -27,6 +27,9 @@ from .model import ModeGrid, SystemConfig, retardation_time
 
 #: Concurrence at or below this counts as dead (zero up to rounding).
 FLOOR = 1e-6
+#: Round trips in the default kernel window, which ``first_kernel_echo``
+#: scans and the ``kernel`` command writes.
+KERNEL_ROUND_TRIPS = 3
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,11 @@ def first_kernel_echo(grid: ModeGrid, dtau: float) -> float:
     """Location of the first rephasing maximum of |K| after tau = 0.
 
     Scans |K| on the taus the ``kernel`` command writes for its default
-    window of three round trips, and returns the first local maximum
-    reaching at least half of |K(0)|, which excludes the low side lobes of
-    the mode comb.  Exact to within one tau sample.
+    window of ``KERNEL_ROUND_TRIPS`` round trips, and returns the first
+    local maximum reaching at least half of |K(0)|, which excludes the low
+    side lobes of the mode comb.  Exact to within one tau sample.
     """
-    taus = np.arange(tau_count(3.0 * (2.0 * math.pi / grid.spacing), dtau)) * dtau
+    taus = np.arange(tau_count(KERNEL_ROUND_TRIPS * (2.0 * math.pi / grid.spacing), dtau)) * dtau
     return first_rephasing_maximum(taus, np.abs(memory_kernel(grid, taus)))
 
 

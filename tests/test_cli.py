@@ -390,7 +390,30 @@ def test_single_run_keeps_the_traced_rk4_layers(tmp_path, monkeypatch):
     assert seen["observe"] == len(out.read_text().splitlines()) - 1
 
 
-def test_sweep_theta_initial_concurrences(tmp_path):
+@pytest.mark.parametrize("argv,written,per_row", [
+    (["single", "--modes", "19", "--tmax", "2.0"], "run.csv", True),
+    (["double", "--modes", "19", "--tmax", "2.0"], "run.csv", False),
+    (["sweep", "--axis", "theta", "--values", "0.3", "--modes", "19", "--tmax", "2.0"],
+     "run_theta_00.csv", False),
+])
+def test_single_columns_come_from_the_traced_library_functions(tmp_path, monkeypatch, argv,
+                                                              written, per_row):
+    # perfbench/worker.py (Tracer) times these two evolve names with
+    # positional-only wrappers, nested in evolve.observe: a stepped single
+    # run calls each once per CSV row, and the exact engine calls neither.
+    import djcsim.evolve as evolve
+
+    calls = {}
+    for name in ("observables_single", "concurrence_single_closed"):
+        def counted(*args, name=name, function=getattr(evolve, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return function(*args)
+        monkeypatch.setattr(evolve, name, counted)
+    assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 0
+    rows = len((tmp_path / written).read_text().splitlines()) - 1
+    expected = rows if per_row else 0
+    assert calls.get("observables_single", 0) == expected
+    assert calls.get("concurrence_single_closed", 0) == expected
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--axis", "theta", "--values", "pi/4,pi/6,pi/12",
                  "--modes", "1", "--tmax", "1.0", "--out", str(out)])
@@ -483,6 +506,9 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
      ["RK4 steps", "10000000", "--dt", "--tmax"]),
     (["double", "--modes", "2003", "--length-ratio", "3480", "--tmax", "1.0"],
      ["2003 modes", "exact engine", "2001", "--modes"]),
+    # one mode limit for every subcommand, RK4 and the kernel trace included
+    *[([command, "--modes", "2003", "--length-ratio", "3480"],
+       ["2003 modes", "2001", "--modes"]) for command in ("single", "kernel")],
     (["kernel", "--tmax", "1e300"], ["samples", "1000000", "--dt", "--tmax"]),
     (["kernel", "--modes", "19", "--tmax", "inf"], ["tmax"]),
     (["kernel", "--dt", "inf"], ["dt"]),
