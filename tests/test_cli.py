@@ -414,6 +414,9 @@ def test_single_columns_come_from_the_traced_library_functions(tmp_path, monkeyp
     expected = rows if per_row else 0
     assert calls.get("observables_single", 0) == expected
     assert calls.get("concurrence_single_closed", 0) == expected
+
+
+def test_sweep_theta_initial_concurrences(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--axis", "theta", "--values", "pi/4,pi/6,pi/12",
                  "--modes", "1", "--tmax", "1.0", "--out", str(out)])
