@@ -71,23 +71,21 @@ from .single import init_atoms_entangled, init_fields_entangled
 _SWEEP_DESTS = {"theta": "theta", "n_modes": "modes", "length_ratio": "length_ratio",
                 "omega_a": "omega_a"}
 
+#: Default window of a multimode trajectory run, in round trips.
+ROUND_TRIPS = 5
 #: Most samples one run may record (rows of its CSV).
 MAX_SAMPLES = 10 ** 6
 #: Most steps one RK4 run may take.
 MAX_RK4_STEPS = 10 ** 7
 #: Most modes per cavity for every subcommand.  The exact engine's spectrum
-#: sets it: it peaks at about four (n+1) x n float64 arrays (122 MiB at
+#: sets it: it peaks at about three (n+1) x n float64 arrays (92 MiB at
 #: n = 1999).  RK4 and the kernel trace cost less per mode, but grow with n
 #: unbounded by the other limits.
 MAX_MODES = 2001
-#: Least mode spacing of a multimode grid for the exact engine: its
-#: eigenvector components g_k / (lambda - delta_k) grow as 1 / spacing, and
-#: their squares overflow from a spacing of about 1e-154 down (n = 3 to 2001).
+#: Least mode spacing of a multimode grid for the exact engine: below about
+#: 1e-154 the secular solver's slope overflows and every root bisects (52
+#: sweeps, not 7, at n = 2001); near 1e-307 the offsets go subnormal.
 MIN_EXACT_SPACING = 1e-150
-#: Largest max|delta| / min g of a multimode grid for the exact engine: its
-#: outer eigenvector components grow as max|delta| / g, and their squares
-#: overflow from about 1e154 up (n = 3 to 401, both profiles).
-MAX_EXACT_SPREAD = 1e150
 #: Below this Gamma * t_r the atom has not decayed by the first round trip.
 _COLLAPSE_REGIME = 5.0
 #: Phase rounding (radians) above which a run warns: the column tolerance.
@@ -156,8 +154,8 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--profile", choices=COUPLING_PROFILES, default="sqrtfreq",
                      help="coupling profile across modes (default sqrtfreq)")
     sub.add_argument("--tmax", type=float, default=None,
-                     help="window length; default 5 round trips, or two Rabi cycles for "
-                          f"1 mode (kernel: {KERNEL_ROUND_TRIPS} round trips)")
+                     help=f"window length; default {ROUND_TRIPS} round trips, or two Rabi "
+                          f"cycles for 1 mode (kernel: {KERNEL_ROUND_TRIPS} round trips)")
     sub.add_argument("--dt", type=float, default=None,
                      help="integration step (kernel: tau sample step); default derived from the grid")
     sub.add_argument("--out", default=None, help="output CSV path")
@@ -227,10 +225,10 @@ def _make_config(args: argparse.Namespace, **theta) -> SystemConfig:
 
 def _default_periods(config: SystemConfig) -> Tuple[int, float]:
     """The default window as a count of periods: two Rabi cycles of the
-    resonant mode for one mode, else five round trips."""
+    resonant mode for one mode, else ``ROUND_TRIPS`` round trips."""
     if config.n_modes == 1:
         return 2, 2.0 * math.pi
-    return 5, retardation_time(config)
+    return ROUND_TRIPS, retardation_time(config)
 
 
 def _format(value: float) -> str:
@@ -345,19 +343,13 @@ def _plan(args: argparse.Namespace) -> _Run:
     rk4 = engine == "rk4"
     grid = build_mode_grid(config)
     t_max, dt = _window(args, *_default_periods(config),
-                        default_step(grid) * (0.5 if scenario == "double" else 1.0), args.stride)
-    # one mode has no gap between poles: its eigenvector components are +-1
+                        default_step(grid, double=scenario == "double"), args.stride)
+    # one mode has one pole and no spacing for the solver to resolve
     if not rk4 and config.n_modes > 1 and config.mode_spacing < MIN_EXACT_SPACING:
         raise ValueError(f"--omega-a {config.omega_a:g} over --length-ratio "
                          f"{config.length_ratio:g} gives a mode spacing of "
                          f"{config.mode_spacing:.3g}, below the exact engine's limit of "
                          f"{MIN_EXACT_SPACING:g}; raise --omega-a or lower --length-ratio")
-    spread = grid.max_detuning / float(np.min(grid.couplings))
-    if not rk4 and spread > MAX_EXACT_SPREAD:
-        raise ValueError(f"--omega-a {config.omega_a:g} over --length-ratio "
-                         f"{config.length_ratio:g} gives max|delta| / min g = {spread:.3g}, "
-                         f"above the exact engine's limit of {MAX_EXACT_SPREAD:g}; lower "
-                         f"--omega-a or raise --length-ratio")
     steps = step_count(t_max, dt)
     stride = max(1, steps // 2000) if args.stride is None else args.stride
     if rk4 and steps > MAX_RK4_STEPS:

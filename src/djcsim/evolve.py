@@ -80,15 +80,15 @@ class Trajectory:
         return len(self.times)
 
 
-def default_step(grid: ModeGrid) -> float:
+def default_step(grid: ModeGrid, double: bool = False) -> float:
     """Integration step resolving the fastest frequency of the grid.
 
     The fastest secular scale is max(|largest detuning|, G) with
     G = sqrt(sum of squared couplings) the collective coupling.  The step is
-    one hundredth of that period, capped at 1.
+    one hundredth of that period, capped at 1, and half that for a double run.
     """
     fastest = max(grid.max_detuning, grid.collective_coupling)
-    return min(2.0 * math.pi / fastest / 100, 1.0)
+    return min(2.0 * math.pi / fastest / 100, 1.0) * (0.5 if double else 1.0)
 
 
 def stability_limit(grid: ModeGrid) -> float:
@@ -445,13 +445,14 @@ def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
     atom row, a * (S(lam) - lam) with S(lam) = sum_k g_k^2 / (lam - delta_k),
     is the residual that tests lam.  The orthogonality check uses
     v_i . v_j = a_i a_j (1 + (S(lam_j) - S(lam_i)) / (lam_i - lam_j)).
-    Both checks cost O(n^2) time; the peak memory is about four
-    (n+1) x n float64 arrays (122 MiB at n = 1999).
+    Each row g_k / (lam_j - delta_k) is divided by a power of two above its
+    largest entry before a_j and the overlap are formed from it: exact, and
+    free of the overflow of its squares on wide combs.  Both checks cost
+    O(n^2) time; the peak memory is about three (n+1) x n float64 arrays.
     """
     delta = grid.detunings
     g = grid.couplings
     g2 = g * g
-    roots = np.arange(grid.n + 1)
     # nonfinite intermediates show up in the residual, which the run checks
     with np.errstate(all="ignore"):
         origin, tau, sweeps = _secular_roots(delta, g2, grid.collective_coupling)
@@ -463,14 +464,22 @@ def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
         np.subtract(tau[:, None], photon, out=photon)
         secular = np.sum(g2 / photon, axis=1)
         np.divide(g, photon, out=photon)
-        norm2 = 1.0 + np.sum(photon * photon, axis=1)
-        atom = 1.0 / np.sqrt(norm2)
-        photon *= atom[:, None]
+        # row j over 2^e_j > max_k |photon[j, k]|, with scale = 2^-e_j
+        _, e = np.frexp(np.maximum(photon.max(axis=1), -photon.min(axis=1)))
+        scale = np.ldexp(1.0, -np.maximum(e, 0))
+        photon *= scale[:, None]
+        norm2 = scale * scale + np.sum(photon * photon, axis=1)
+        unit = 1.0 / np.sqrt(norm2)
+        atom = scale * unit
+        photon *= unit[:, None]
         # the atom row of A V - V Lambda (NaN propagates)
         residual = np.max(np.abs(np.sum(g * photon, axis=1) - eigenvalues * atom))
-        overlap = np.outer(atom, atom) * (
-            1.0 + (secular - secular[:, None]) / (eigenvalues[:, None] - eigenvalues))
-        overlap[roots, roots] = atom * atom * norm2 - 1.0
+        # 2^-e_i 2^-e_j (1 + (S_j - S_i) / (lam_i - lam_j)), scaled before dividing
+        overlap = (secular - secular[:, None]) * scale[:, None] * scale
+        overlap /= np.subtract.outer(eigenvalues, eigenvalues)
+        overlap += np.outer(scale, scale)
+        overlap *= np.outer(unit, unit)
+        np.fill_diagonal(overlap, unit * unit * norm2 - 1.0)
     return CombSpectrum(eigenvalues=eigenvalues, atom=atom, photon=photon,
                         residual=float(residual),
                         orthogonality=float(np.max(np.abs(overlap))), sweeps=sweeps)
@@ -497,11 +506,9 @@ def _exact_atoms(grid: ModeGrid, blocks, t_max: float, dt: float, sample_stride:
     spectrum = comb_spectrum(grid)
     if not (spectrum.residual <= _SPECTRUM_TOL
             and spectrum.orthogonality <= _SPECTRUM_TOL):
-        raise IntegrationError(
-            f"exact engine spectrum failed its check: eigen residual "
-            f"{spectrum.residual:.3e}, orthogonality error "
-            f"{spectrum.orthogonality:.3e} (limit {_SPECTRUM_TOL:.0e})"
-        )
+        raise IntegrationError(f"exact engine spectrum failed its check: eigen residual "
+                               f"{spectrum.residual:.3e}, orthogonality error "
+                               f"{spectrum.orthogonality:.3e} (limit {_SPECTRUM_TOL:.0e})")
     lam = spectrum.eigenvalues
     weights = np.array([
         spectrum.atom * (spectrum.atom * atom0
@@ -603,7 +610,7 @@ def run_double(
     never formed: each excited atom keeps the amplitude u of one atom in one
     comb, so with p = |u|^2 the populations are p11 = sin^2 p^2,
     p2 = p3 = sin^2 p (1 - p) and p4 = sin^2 (1 - p)^2.  The default dt, the
-    sample spacing, is half the grid step.
+    sample spacing, is ``default_step(grid, double=True)``.
 
     Raises
     ------
@@ -612,7 +619,7 @@ def run_double(
     """
     check_theta(theta)
     if dt is None:
-        dt = 0.5 * default_step(grid)
+        dt = default_step(grid, double=True)
     times, (u,), description = _exact_atoms(grid, [(1.0, np.zeros(grid.n))], t_max, dt,
                                             sample_stride)
     p = np.abs(u) ** 2

@@ -142,7 +142,8 @@ def build_mode_grid(config: SystemConfig) -> ModeGrid:
     if config.coupling_profile == "uniform":
         couplings = np.ones(n)
     else:
-        couplings = np.sqrt((config.omega_a + detunings) / config.omega_a)
+        half = 0.5 * config.omega_a  # so that omega_a + delta cannot overflow
+        couplings = np.sqrt((half + 0.5 * detunings) / half)
     return ModeGrid(detunings=detunings, couplings=couplings, spacing=spacing)
 
 

@@ -105,7 +105,7 @@ def _run_scenario(kind, cfg, stride=10):
                 "pop2": abs(st.c2) ** 2,
             }
 
-    dt = default_step(grid) * (0.5 if kind == "double" else 1.0)
+    dt = default_step(grid, double=kind == "double")
     traj = integrate(deriv, state.to_vector(), t_max, dt,
                      sample_stride=stride, observe=observe,
                      max_dt=stability_limit(grid))

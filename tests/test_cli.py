@@ -320,10 +320,10 @@ def test_double_csv_holds_run_double_exactly(tmp_path):
                  "--theta", "1.05", "--out", str(out)]) == 0
     config = SystemConfig(omega_a=11100.0, length_ratio=1720.0, n_modes=49)
     grid = build_mode_grid(config)
-    # the CLI's defaults for double: five round trips, half the RK4 step,
-    # a stride leaving about 2000 samples
+    # the CLI's defaults for double: five round trips, the double run's
+    # step, a stride leaving about 2000 samples
     t_max = 5.0 * retardation_time(config)
-    dt = 0.5 * default_step(grid)
+    dt = default_step(grid, double=True)
     traj = run_double(grid, 1.05, t_max, dt=dt,
                       sample_stride=max(1, step_count(t_max, dt) // 2000))
     header, cols = read_csv(out)
@@ -331,6 +331,16 @@ def test_double_csv_holds_run_double_exactly(tmp_path):
     assert cols["t"].tobytes() == traj.times.tobytes()
     for name in header[1:]:
         assert cols[name].tobytes() == traj.records[name].tobytes(), name
+
+
+def test_double_run_samples_the_cli_times_by_default(tmp_path):
+    # run_double's default dt is the step the CLI's double run samples at
+    out = tmp_path / "double.csv"
+    assert main(["double", "--modes", "19", "--tmax", "2.0", "--stride", "1",
+                 "--out", str(out)]) == 0
+    grid = build_mode_grid(SystemConfig(omega_a=4840.0, length_ratio=670.0, n_modes=19))
+    _, cols = read_csv(out)
+    assert cols["t"].tobytes() == run_double(grid, math.pi / 4, 2.0).times.tobytes()
 
 
 def test_kernel_csv_holds_memory_kernel_exactly(tmp_path):
@@ -539,12 +549,6 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     (["double", "--modes", "3", "--stride", "-2"], ["stride"]),
     (["sweep", "--axis", "theta", "--values", "0.3", "--modes", "3", "--stride", "0"],
      ["stride"]),
-    # a spread max|delta| / min g whose squared eigenvector components overflow
-    *[(["double", "--modes", "3", "--omega-a", omega_a, "--length-ratio", "3", "--tmax", "1e-15",
-        "--profile", profile], ["--omega-a", "--length-ratio", "1e+150"])
-      for omega_a in ("1e160", "1e300") for profile in ("uniform", "sqrtfreq")],
-    (["sweep", "--axis", "theta", "--values", "0.3", "--modes", "3", "--omega-a", "1e160",
-      "--length-ratio", "3", "--tmax", "1e-15"], ["--omega-a", "--length-ratio", "1e+150"]),
 ])
 def test_work_limits_exit_2_before_writing(tmp_path, capsys, argv, named):
     assert main(argv + ["--out", str(tmp_path / "big.csv")]) == 2
@@ -593,23 +597,44 @@ def test_default_stride_counts_the_steps_taken(tmp_path):
     assert np.array_equal(cols["t"][:-1], np.arange(3999.0))
 
 
-@pytest.mark.parametrize("omega_a", ["3e16", "1e17", "1e150"])
+@pytest.mark.parametrize("omega_a,profile", [
+    *[pytest.param(omega_a, "sqrtfreq", id=omega_a) for omega_a in ("3e16", "1e17", "1e150")],
+    # max|delta| / min g above 1e159: the squares of the outer
+    # eigenvector components once overflowed, and these runs were refused
+    *[pytest.param(omega_a, profile, id=f"{omega_a}-{profile}")
+      for omega_a in ("1e160", "1e300") for profile in ("uniform", "sqrtfreq")],
+])
 @pytest.mark.parametrize("command", [["double"], ["sweep", "--axis", "theta", "--values", "0.5"]])
-def test_wide_spacing_runs_or_exits_2(tmp_path, omega_a, command):
+def test_wide_spacing_runs_or_exits_2(tmp_path, capsys, omega_a, profile, command):
     # a mode spacing of 1e16 and more once rounded the spectrum's outer
-    # brackets onto their poles and failed its check with exit 3; at 1e150
-    # max|delta| / min g is about 4e149, inside MAX_EXACT_SPREAD
-    code = main([*command, "--modes", "3", "--omega-a", omega_a, "--length-ratio", "3",
-                 "--tmax", "1e-15", "--out", str(tmp_path / "run.csv")])
-    assert code == 0 if omega_a == "1e150" else code in (0, 2)
-    written = sorted(tmp_path.iterdir())
-    if code == 2:
-        assert written == []
-    for path in written:
+    # brackets onto their poles and failed its check with exit 3; every
+    # such run now passes the check
+    assert main([*command, "--modes", "3", "--omega-a", omega_a, "--length-ratio", "3",
+                 "--tmax", "1e-15", "--profile", profile,
+                 "--out", str(tmp_path / "run.csv")]) == 0
+    checks = re.search(r"eigen residual (\S+), orthogonality error (\S+),",
+                       capsys.readouterr().out)
+    assert float(checks[1]) <= 1e-10 and float(checks[2]) <= 1e-10
+    for path in tmp_path.iterdir():
         if path.name.endswith("_summary.csv"):  # empty cells when nothing dies
             continue
         _, cells = read_csv(path)
         assert all(np.all(np.isfinite(column)) for column in cells.values())
+
+
+@pytest.mark.parametrize("argv", [
+    # omega_a + max|delta| exceeds the largest double: the sqrtfreq
+    # couplings once overflowed and the run exited 2 naming --dt
+    *[[command, "--modes", "3", "--omega-a", "1.7e308", "--length-ratio", "3"]
+      for command in ("single", "double", "kernel")],
+    # 2e-150 over 2 is a mode spacing of exactly 1e-150, the exact engine's least
+    ["double", "--modes", "3", "--omega-a", "2e-150", "--length-ratio", "2"],
+])
+def test_extreme_grids_run_with_finite_cells(tmp_path, argv):
+    out = tmp_path / "run.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    _, cells = read_csv(out)
+    assert all(np.all(np.isfinite(column)) for column in cells.values())
 
 
 @pytest.mark.parametrize("extra", [

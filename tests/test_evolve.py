@@ -479,12 +479,39 @@ def test_comb_spectrum_matches_bisection(config):
 
 
 @pytest.mark.parametrize("config", SOLVER_GRIDS)
+def test_scaled_rows_are_the_unscaled_formula_bit_for_bit(config):
+    # comb_spectrum divides each row by a power of two before squaring it;
+    # that is exact, so every bit is the unscaled formula's on these grids
+    grid = build_mode_grid(config)
+    delta, g = grid.detunings, grid.couplings
+    origin, tau, _ = _secular_roots(delta, g * g, grid.collective_coupling)
+    lam = delta[origin] + tau
+    gaps = tau[:, None] - (delta - delta[origin][:, None])
+    ratio = g / gaps
+    norm2 = 1.0 + np.sum(ratio * ratio, axis=1)
+    atom = 1.0 / np.sqrt(norm2)
+    photon = ratio * atom[:, None]
+    secular = np.sum(g * g / gaps, axis=1)
+    with np.errstate(invalid="ignore"):  # 0 / 0 on the diagonal, replaced below
+        overlap = np.outer(atom, atom) * (
+            1.0 + (secular - secular[:, None]) / (lam[:, None] - lam))
+    np.fill_diagonal(overlap, atom * atom * norm2 - 1.0)
+    residual = np.max(np.abs(np.sum(g * photon, axis=1) - lam * atom))
+    spectrum = comb_spectrum(grid)
+    for name, value in [("eigenvalues", lam), ("atom", atom), ("photon", photon),
+                        ("residual", residual), ("orthogonality", np.max(np.abs(overlap)))]:
+        assert np.asarray(getattr(spectrum, name)).tobytes() == np.asarray(value).tobytes(), name
+
+
+@pytest.mark.parametrize("config", SOLVER_GRIDS)
 def test_comb_spectrum_converges_in_few_sweeps(config):
     assert 1 <= comb_spectrum(build_mode_grid(config)).sweeps <= 8
 
 
 @pytest.mark.parametrize("n,length_ratio,omega_a", [
     (3, 3.0, 1e20), (3, 3.0, 1e50), (3, 3.0, 1e150), (101, 3000.0, 1e149),
+    # max|delta| / min g near 1e300, where the squared components overflowed
+    (3, 3.0, 1e300), (2001, 1e4, 1e300),
 ])
 def test_comb_spectrum_converges_in_few_sweeps_at_wide_spacing(n, length_ratio, omega_a):
     # Roots lie about g^2 / spacing from their poles, far nearer than the

@@ -1,7 +1,8 @@
 """Property tests of the exact engine over random grids, angles and states,
 of the RK4 reference stack on small, slow grids, and of the revival
-detector against a sample-by-sample loop and numpy's median, and of the CSV
-writer: its bytes against Python's %.17g, and its read-back."""
+detector against a sample-by-sample loop and numpy's median, of the CSV
+writer: its bytes against Python's %.17g, and its read-back, and of the
+exact engine's runs through ``cli.main`` over the whole admitted space."""
 
 import math
 import os
@@ -22,7 +23,7 @@ from djcsim import (
     run_double,
     run_single,
 )
-from djcsim.cli import _CSV_BLOCK, _write_csv
+from djcsim.cli import _CSV_BLOCK, _write_csv, main
 from djcsim.csvcells import SPEC, format_rows
 from djcsim.evolve import comb_spectrum
 from djcsim.revivals import _median
@@ -133,6 +134,57 @@ def test_comb_spectrum_checks_hold(grid):
     assert spectrum.residual <= 1e-10
     assert spectrum.orthogonality <= 1e-10
     assert np.all(np.diff(spectrum.eigenvalues) > 0.0)
+
+
+@st.composite
+def exact_argvs(draw):
+    """A double run or a theta sweep point over the float64 range of omega_a
+    and L/lambda_a, at its default window: SystemConfig admits some, and
+    the CLI refuses others with exit 2."""
+    def log_uniform():
+        return repr(min(10.0 ** draw(st.floats(-307.0, 308.0)), 1.7976931348623157e308))
+    initial = draw(st.sampled_from((None, "atoms", "fields", "double")))
+    command = ["double"] if initial is None else [
+        "sweep", "--axis", "theta", "--values", repr(draw(thetas)), "--initial", initial]
+    return [*command, "--modes", str(2 * draw(st.integers(0, 10)) + 1),
+            "--omega-a", log_uniform(), "--length-ratio", log_uniform(),
+            "--theta", repr(draw(thetas)), "--profile", draw(profiles),
+            "--angle-convention", draw(st.sampled_from(("printed", "swapped")))]
+
+
+# the grids the CLI refused for max|delta| / min g above 1e150
+SPREAD_ARGVS = [
+    *[["double", "--modes", "3", "--omega-a", omega_a, "--length-ratio", "3", "--tmax", "1e-15",
+       "--profile", profile]
+      for omega_a in ("1e160", "1e300") for profile in ("uniform", "sqrtfreq")],
+    ["sweep", "--axis", "theta", "--values", "0.3", "--modes", "3", "--omega-a", "1e160",
+     "--length-ratio", "3", "--tmax", "1e-15"],
+]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(exact_argvs())
+@example(SPREAD_ARGVS[0])
+@example(SPREAD_ARGVS[1])
+@example(SPREAD_ARGVS[2])
+@example(SPREAD_ARGVS[3])
+@example(SPREAD_ARGVS[4])
+# omega_a + max|delta| above the largest double
+@example(["double", "--modes", "3", "--omega-a", "1.7e308", "--length-ratio", "3"])
+# a mode spacing of exactly the exact engine's least, 1e-150
+@example(["double", "--modes", "3", "--omega-a", "2e-150", "--length-ratio", "2"])
+def test_exact_runs_write_finite_cells_or_exit_2(argv):
+    with tempfile.TemporaryDirectory() as folder:
+        code = main(argv + ["--out", os.path.join(folder, "run.csv")])
+        assert code in (0, 2)
+        written = sorted(os.listdir(folder))
+        if code == 2:
+            assert written == []
+        for name in written:
+            if name.endswith("_summary.csv"):  # empty cells when nothing dies
+                continue
+            cells = np.loadtxt(os.path.join(folder, name), delimiter=",", skiprows=1, ndmin=2)
+            assert np.all(np.isfinite(cells)), name
 
 
 def loop_dead_and_peaks(t, c, floor=1e-6):
