@@ -103,7 +103,7 @@ def flat_derivative(grid: ModeGrid) -> Callable[[np.ndarray], np.ndarray]:
     n = grid.n
     delta = grid.detunings
     g = grid.couplings
-    pair_detuning = delta[:, None] + delta[None, :]
+    pair_rotation = -1j * (delta[:, None] + delta[None, :])
 
     def deriv(y: np.ndarray) -> np.ndarray:
         d11 = y[1]
@@ -115,8 +115,12 @@ def flat_derivative(grid: ModeGrid) -> Callable[[np.ndarray], np.ndarray]:
         out[1] = -(g @ d2) - (g @ d3)
         out[2:2 + n] = -1j * delta * d2 + g * d11 - g @ d4
         out[2 + n:2 + 2 * n] = -1j * delta * d3 + g * d11 - d4 @ g
-        d4dot = -1j * pair_detuning * d4 + np.outer(g, d2) + np.outer(d3, g)
-        out[2 + 2 * n:] = d4dot.ravel()
+        # -i (delta_mu + delta_nu) d4 + outer(g, d2) + outer(d3, g), summed
+        # left to right in the d4 block of out
+        d4dot = out[2 + 2 * n:].reshape(n, n)
+        np.multiply(pair_rotation, d4, out=d4dot)
+        d4dot += np.outer(g, d2)
+        d4dot += np.outer(d3, g)
         return out
 
     return deriv

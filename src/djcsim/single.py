@@ -112,8 +112,9 @@ def observables_single(state: SingleExcState) -> dict:
     """Populations of the atoms and fields, plus the total norm."""
     pop1 = abs(state.c1) ** 2
     pop2 = abs(state.c2) ** 2
-    pop_a = float(np.sum(np.abs(state.ca) ** 2))
-    pop_b = float(np.sum(np.abs(state.cb) ** 2))
+    # np.sum(np.abs(x) ** 2) to the bit, with less call overhead
+    pop_a = float(np.add.reduce(np.square(np.abs(state.ca))))
+    pop_b = float(np.add.reduce(np.square(np.abs(state.cb))))
     return {
         "pop1": pop1,
         "pop2": pop2,

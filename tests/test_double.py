@@ -194,3 +194,22 @@ def test_vector_round_trip(grid3):
     np.testing.assert_array_equal(back.d2, state.d2)
     np.testing.assert_array_equal(back.d3, state.d3)
     np.testing.assert_array_equal(back.d4, state.d4)
+
+
+@pytest.mark.parametrize("n", [1, 3, 49])
+def test_flat_derivative_is_the_written_out_equations_bit_for_bit(n):
+    # the d4 block is summed in place in the output; the reference forms each
+    # term as its own array, in the same left-to-right order
+    grid = build_mode_grid(SystemConfig(omega_a=11100.0, length_ratio=1720.0, n_modes=n))
+    delta, g = grid.detunings, grid.couplings
+    rng = np.random.default_rng(n)
+    y = rng.normal(size=2 + 2 * n + n * n) + 1j * rng.normal(size=2 + 2 * n + n * n)
+    d11, d2, d3 = y[1], y[2:2 + n], y[2 + n:2 + 2 * n]
+    d4 = y[2 + 2 * n:].reshape(n, n)
+    pair_detuning = delta[:, None] + delta[None, :]
+    expected = np.concatenate((
+        [0.0, -(g @ d2) - (g @ d3)],
+        -1j * delta * d2 + g * d11 - g @ d4,
+        -1j * delta * d3 + g * d11 - d4 @ g,
+        (-1j * pair_detuning * d4 + np.outer(g, d2) + np.outer(d3, g)).ravel()))
+    assert flat_derivative(grid)(y).tobytes() == expected.tobytes()

@@ -261,6 +261,25 @@ def test_integrate_is_textbook_rk4_bit_for_bit(kind, n):
 
 
 @pytest.mark.parametrize("kind,n", [("single", 19), ("double", 3)])
+@pytest.mark.parametrize("steps", [0.37, 200.0, 2.0])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_integrate_is_textbook_rk4_on_every_last_step(kind, n, steps, stride):
+    # integrate sets its step operands once for the full steps and again for
+    # the last: a lone shortened step, a whole number of steps and two steps
+    grid = build_mode_grid(reference_config(n, 670.0, profile="sqrtfreq"))
+    make = single_derivative if kind == "single" else double_derivative
+    dim = 2 + 2 * n + (n * n if kind == "double" else 0)
+    rng = np.random.default_rng(n)
+    y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    dt = default_step(grid)
+    t_max = steps * dt
+    traj = integrate(make(grid), y0, t_max, dt, sample_stride=stride,
+                     observe=lambda t, y: {"vec": y.copy()})
+    expected = textbook_rk4(make(grid), y0, t_max, dt, stride)
+    assert traj.records["vec"].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind,n", [("single", 19), ("double", 3)])
 def test_integrate_never_writes_into_a_sampled_vector(kind, n):
     # observe keeps each vector as handed out; a later stage or step writing
     # into one of them would change the kept samples

@@ -2,7 +2,8 @@
 of the RK4 reference stack on small, slow grids, and of the revival
 detector against a sample-by-sample loop and numpy's median, of the CSV
 writer: its bytes against Python's %.17g, and its read-back, and of the
-exact engine's runs through ``cli.main`` over the whole admitted space."""
+exact engine's and RK4's runs through ``cli.main`` over the whole
+admitted space."""
 
 import math
 import os
@@ -17,6 +18,7 @@ from djcsim import (
     SystemConfig,
     Trajectory,
     build_mode_grid,
+    default_step,
     detect_revivals,
     init_atoms_entangled,
     init_fields_entangled,
@@ -185,6 +187,46 @@ def test_exact_runs_write_finite_cells_or_exit_2(argv):
                 continue
             cells = np.loadtxt(os.path.join(folder, name), delimiter=",", skiprows=1, ndmin=2)
             assert np.all(np.isfinite(cells)), name
+
+
+@st.composite
+def single_argvs(draw):
+    """A single (RK4) run over the float64 range of omega_a and L/lambda_a,
+    odd n <= 21, whose --tmax is a drawn multiple, at most 500, of the
+    grid's default step: no example steps more than 501 times.  A grid that
+    SystemConfig refuses keeps the default window; the CLI exits 2 on it."""
+    def log_uniform():
+        return repr(min(10.0 ** draw(st.floats(-307.0, 308.0)), 1.7976931348623157e308))
+    n = 2 * draw(st.integers(0, 10)) + 1
+    omega_a, length_ratio = log_uniform(), log_uniform()
+    profile = draw(profiles)
+    argv = ["single", "--modes", str(n), "--omega-a", omega_a, "--length-ratio", length_ratio,
+            "--theta", repr(draw(thetas)), "--profile", profile,
+            "--initial", draw(st.sampled_from(("atoms", "fields"))),
+            "--angle-convention", draw(st.sampled_from(("printed", "swapped")))]
+    multiple = draw(st.integers(1, 500) | st.floats(0.0, 500.0, exclude_min=True))
+    try:
+        grid = build_mode_grid(SystemConfig(omega_a=float(omega_a),
+                                            length_ratio=float(length_ratio),
+                                            n_modes=n, coupling_profile=profile))
+    except ValueError:
+        return argv
+    return argv + ["--tmax", repr(multiple * default_step(grid))]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(single_argvs())
+def test_rk4_runs_write_finite_cells_or_exit_2(argv):
+    with tempfile.TemporaryDirectory() as folder:
+        code = main(argv + ["--out", os.path.join(folder, "run.csv")])
+        assert code in (0, 2)
+        written = os.listdir(folder)
+        if code == 2:
+            assert written == []
+        else:
+            cells = np.loadtxt(os.path.join(folder, "run.csv"), delimiter=",", skiprows=1,
+                               ndmin=2)
+            assert np.all(np.isfinite(cells))
 
 
 def loop_dead_and_peaks(t, c, floor=1e-6):

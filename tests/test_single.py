@@ -183,3 +183,21 @@ def test_vector_round_trip(grid19):
     assert back.c1 == state.c1 and back.c2 == state.c2
     np.testing.assert_array_equal(back.ca, state.ca)
     np.testing.assert_array_equal(back.cb, state.cb)
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, 99, 257])
+@pytest.mark.parametrize("padding", ["none", "leading", "trailing"])
+def test_observables_cavity_sums_are_numpys_sum_bit_for_bit(n, padding):
+    # the populations sum |x|^2 with np.add.reduce(np.square(np.abs(x))):
+    # the same pairwise sum as np.sum(np.abs(x) ** 2), across its 8- and
+    # 128-element blocks, and with zero amplitudes around the photon
+    rng = np.random.default_rng(n)
+    ca, cb = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    if padding == "leading":
+        ca[:n // 2] = cb[:n // 2] = 0.0
+    elif padding == "trailing":
+        ca[n // 3 + 1:] = cb[n // 3 + 1:] = 0.0
+    obs = observables_single(SingleExcState(c1=0.3 + 0.1j, c2=-0.2j, ca=ca, cb=cb))
+    for key, photons in (("pop_cav_a", ca), ("pop_cav_b", cb)):
+        expected = float(np.sum(np.abs(photons) ** 2))
+        assert np.float64(obs[key]).tobytes() == np.float64(expected).tobytes(), key
