@@ -14,13 +14,15 @@ Every subcommand takes the grid (--modes, --length-ratio, --omega-a,
 --profile), the window (--tmax, --dt), --out and --config; only the
 trajectory runs take --theta, --stride and --angle-convention.  Each run
 writes one CSV (headers mandatory, '.' decimal separator, LF line endings)
-and prints a summary to stdout, which warns when --tmax is long enough for
-float64 to round the phases by more than 1e-6.  Parameters can also be
-supplied as key=value lines in a file passed with --config; keys are the
-flag names with underscores, values are checked exactly like flags, and
-command-line flags win over file values.  The single subcommand propagates
-with RK4, which checks its stability limit before the first step; double
-runs and every sweep point use the exact single-comb engine (see _plan).
+and prints a summary to stdout.  A default window stops where float64
+rounds the phases by 1e-6, and says so; a longer --tmax, or trajectory
+samples too sparse for the fastest frequency, print a warning line.
+Parameters can also be supplied as key=value lines in a file passed with
+--config; keys are the flag names with underscores, values are checked
+exactly like flags, and command-line flags win over file values.  The
+single subcommand propagates with RK4, which checks its stability limit
+before the first step; double runs and every sweep point use the exact
+single-comb engine (see _plan).
 Every CSV number is written as %.17g, which reads back to the same float64.
 The cells are produced in numpy blocks of 512 rows (csvcells), byte for
 byte as %.17g writes them: each cell is laid out in 32 bytes, masked to
@@ -52,6 +54,7 @@ from .evolve import (
     default_step,
     run_double,
     run_single,
+    sample_count,
     step_count,
 )
 from .model import COUPLING_PROFILES, ModeGrid, SystemConfig, build_mode_grid, retardation_time
@@ -327,6 +330,7 @@ class _Run(NamedTuple):
     dt: float
     stride: int
     engine: str  # "exact" or "rk4"
+    notes: Tuple[str, ...]  # lines the run prints after its scenario line
 
 
 def _plan(args: argparse.Namespace) -> _Run:
@@ -344,6 +348,17 @@ def _plan(args: argparse.Namespace) -> _Run:
     grid = build_mode_grid(config)
     t_max, dt = _window(args, *_default_periods(config),
                         default_step(grid, double=scenario == "double"), args.stride)
+    # max|delta| + G bounds every |eigenvalue| of the comb (the outer brackets
+    # of ``comb_spectrum``), so no spectrum is needed
+    fastest = grid.max_detuning + grid.collective_coupling
+    notes = []
+    if args.tmax is None and _phase_bound(fastest, t_max) > _PHASE_TOL:
+        longest = _PHASE_TOL / _phase_bound(fastest, 1.0)
+        while _phase_bound(fastest, longest) > _PHASE_TOL:
+            longest = math.nextafter(longest, 0.0)
+        notes.append(f"default window shortened from t={t_max:.6g} to t={longest:.6g}, past "
+                     f"which float64 rounds the phases by over {_PHASE_TOL:g} rad")
+        t_max = longest
     # one mode has one pole and no spacing for the solver to resolve
     if not rk4 and config.n_modes > 1 and config.mode_spacing < MIN_EXACT_SPACING:
         raise ValueError(f"--omega-a {config.omega_a:g} over --length-ratio "
@@ -355,15 +370,24 @@ def _plan(args: argparse.Namespace) -> _Run:
     if rk4 and steps > MAX_RK4_STEPS:
         raise ValueError(f"{steps:.3g} RK4 steps exceed the limit of {MAX_RK4_STEPS}; "
                          f"lower --tmax or raise --dt")
-    _check_samples((steps - 1) // stride + 2, "raise --stride or --dt, or lower --tmax")
-    return _Run(args, scenario, config, grid, t_max, dt, stride, engine)
+    _check_samples(sample_count(t_max, dt, stride), "raise --stride or --dt, or lower --tmax")
+    gap = min(stride, steps) * dt  # the widest gap between samples
+    if gap * fastest > math.pi:
+        notes.append(f"warning: --stride {stride} x --dt {dt:g} spaces samples by {gap:.3g}, "
+                     f"above pi/(max|delta| + G) = {math.pi / fastest:.3g}: the columns and "
+                     f"revivals alias; lower --stride or --dt")
+    return _Run(args, scenario, config, grid, t_max, dt, stride, engine, tuple(notes))
+
+
+def _phase_bound(frequency: float, window: float) -> float:
+    """Bound u * frequency * window on the rounding of every phase of a run
+    whose frequencies are at most ``frequency``."""
+    return 2.0 ** -53 * window * frequency
 
 
 def _phase_rounding(frequency: float, window: float) -> float:
-    """Bound u * frequency * window on the rounding of every phase of a run
-    whose frequencies are at most ``frequency``; print the warning line when
-    it exceeds ``_PHASE_TOL``."""
-    rounding = 2.0 ** -53 * window * frequency
+    """``_phase_bound``, and the warning line when it exceeds ``_PHASE_TOL``."""
+    rounding = _phase_bound(frequency, window)
     if rounding > _PHASE_TOL:
         print(f"warning: phases round by up to {rounding:.2g} rad at t={window:g}, above "
               f"{_PHASE_TOL:g}: the columns and revivals are noise; lower --tmax")
@@ -387,8 +411,8 @@ def _run_trajectory(run: _Run) -> RevivalReport:
     print(f"scenario: {scenario}  modes={config.n_modes} omega_a={config.omega_a} "
           f"length_ratio={config.length_ratio} profile={config.coupling_profile} "
           f"theta={config.theta!r} ({args.angle_convention} convention)")
-    # max|delta| + G bounds every |eigenvalue| of the comb (the outer brackets
-    # of ``comb_spectrum``), so no spectrum is needed
+    for note in run.notes:
+        print(note)
     _phase_rounding(grid.max_detuning + grid.collective_coupling, run.t_max)
     _print_summary(config, traj, report, out_path)
     return report

@@ -20,9 +20,9 @@ and no stepping error.  ``run_double`` always uses it; ``run_single`` takes
 ``engine="exact"`` or ``engine="rk4"``.
 
 A dense eigendecomposition propagator is provided as an independent
-cross-check for small systems.  It assembles the generator entry by entry
-from the grid and never touches the Runge-Kutta code path.  Together with
-``integrate`` over ``double.flat_derivative`` it is the reference for
+cross-check for small systems.  It builds both generators from one
+cavity's matrix and never touches the Runge-Kutta code path.  Together
+with ``integrate`` over ``double.flat_derivative`` it is the reference for
 double-excitation states other than the one ``run_double`` starts from.
 """
 
@@ -114,6 +114,13 @@ def step_count(t_max: float, dt: float) -> int:
     return int(math.ceil(t_max / dt - 1e-12)) if t_max > 0.0 else 0
 
 
+def sample_count(t_max: float, dt: float, sample_stride: int = 1) -> int:
+    """Rows of ``sample_times(t_max, dt, sample_stride)``: the start, one per
+    multiple of the stride short of the last step, and the end; the start
+    alone when there is no step, as -1 // stride is -1."""
+    return (step_count(t_max, dt) - 1) // sample_stride + 2
+
+
 def sample_times(t_max: float, dt: float, sample_stride: int = 1) -> np.ndarray:
     """The times both engines sample: 0, then k * dt for every multiple k
     of the stride short of the last step, then t_max.
@@ -122,10 +129,10 @@ def sample_times(t_max: float, dt: float, sample_stride: int = 1) -> np.ndarray:
     stride beyond the int64 range still gives float64 times.
     """
     check_window(t_max, dt, sample_stride)
-    n_steps = step_count(t_max, dt)
-    if n_steps == 0:
-        return np.zeros(1)
-    inner = np.arange(1, (n_steps - 1) // sample_stride + 1) * float(sample_stride) * dt
+    count = sample_count(t_max, dt, sample_stride)
+    if count <= 2:  # no inner sample, so a stride past the float range is moot
+        return np.array([0.0, t_max][:count])
+    inner = np.arange(1, count - 1) * float(sample_stride) * dt
     return np.concatenate(([0.0], inner, [t_max]))
 
 
@@ -252,58 +259,33 @@ def integrate(
                       engine=f"rk4 (dt={dt:.6g}, steps={n_steps})")
 
 
-def generator_single(grid: ModeGrid) -> np.ndarray:
-    """Dense generator M of the single-excitation equations, dstate/dt = M state.
+def _cavity_generator(grid: ModeGrid) -> np.ndarray:
+    """Generator of one atom and its comb over (atom, photons): d atom/dt =
+    sum_k g_k photon_k and d photon_k/dt = -i delta_k photon_k - g_k atom."""
+    a = np.diag(np.concatenate(([0j], -1j * grid.detunings)))
+    a[0, 1:], a[1:, 0] = grid.couplings, -grid.couplings
+    return a
 
-    Assembled entry by entry, independently of the vectorized derivative.
-    """
-    n = grid.n
-    dim = 2 + 2 * n
-    m = np.zeros((dim, dim), dtype=complex)
-    for k in range(n):
-        ia = 2 + k
-        ib = 2 + n + k
-        m[0, ia] = grid.couplings[k]
-        m[ia, 0] = -grid.couplings[k]
-        m[ia, ia] = -1j * grid.detunings[k]
-        m[1, ib] = grid.couplings[k]
-        m[ib, 1] = -grid.couplings[k]
-        m[ib, ib] = -1j * grid.detunings[k]
-    return m
+
+def generator_single(grid: ModeGrid) -> np.ndarray:
+    """Dense generator M of the single-excitation equations, dstate/dt = M state:
+    the direct sum of the two cavities' generators, in the packed order."""
+    index = np.arange(2 * grid.n + 2).reshape(2, -1)  # [cavity, atom or photon]
+    order = np.concatenate((index[:, 0], index[:, 1:].ravel()))
+    return np.kron(np.eye(2), _cavity_generator(grid))[np.ix_(order, order)]
 
 
 def generator_double(grid: ModeGrid) -> np.ndarray:
-    """Dense generator M of the double-excitation equations."""
+    """Dense generator M of the double-excitation equations: the Kronecker sum
+    A (x) 1 + 1 (x) A of one cavity's transposed generator (the double
+    module's gauge flips the couplings' sign) over [cavity a, cavity b]
+    states, in the packed order after the decoupled d00."""
     n = grid.n
-    dim = 2 + 2 * n + n * n
-    g = grid.couplings
-    delta = grid.detunings
-    m = np.zeros((dim, dim), dtype=complex)
-
-    def i2(nu):
-        return 2 + nu
-
-    def i3(mu):
-        return 2 + n + mu
-
-    def i4(mu, nu):
-        return 2 + 2 * n + mu * n + nu
-
-    for nu in range(n):
-        m[1, i2(nu)] = -g[nu]
-        m[i2(nu), 1] = g[nu]
-        m[i2(nu), i2(nu)] = -1j * delta[nu]
-    for mu in range(n):
-        m[1, i3(mu)] = -g[mu]
-        m[i3(mu), 1] = g[mu]
-        m[i3(mu), i3(mu)] = -1j * delta[mu]
-    for mu in range(n):
-        for nu in range(n):
-            m[i2(nu), i4(mu, nu)] = -g[mu]
-            m[i3(mu), i4(mu, nu)] = -g[nu]
-            m[i4(mu, nu), i4(mu, nu)] = -1j * (delta[mu] + delta[nu])
-            m[i4(mu, nu), i2(nu)] = g[mu]
-            m[i4(mu, nu), i3(mu)] = g[nu]
+    a, one = _cavity_generator(grid).T, np.eye(n + 1)
+    index = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    order = np.concatenate(([0], index[0, 1:], index[1:, 0], index[1:, 1:].ravel()))
+    m = np.zeros((2 + 2 * n + n * n,) * 2, dtype=complex)
+    m[1:, 1:] = (np.kron(a, one) + np.kron(one, a))[np.ix_(order, order)]
     return m
 
 
@@ -321,10 +303,8 @@ def expm_oracle(
     """
     if isinstance(state0, SingleExcState):
         m = generator_single(grid)
-        unpack = lambda v: SingleExcState.from_vector(v, grid.n)
     elif isinstance(state0, DoubleExcState):
         m = generator_double(grid)
-        unpack = lambda v: DoubleExcState.from_vector(v, grid.n)
     else:
         raise TypeError(f"unsupported state type {type(state0).__name__}")
     if m.shape[0] > _EXPM_MAX_DIM:
@@ -333,7 +313,8 @@ def expm_oracle(
         )
     lam, vecs = np.linalg.eigh(1j * m)
     phases = np.exp(-1j * lam * t)
-    return unpack(vecs @ (phases * (vecs.conj().T @ state0.to_vector())))
+    return type(state0).from_vector(vecs @ (phases * (vecs.conj().T @ state0.to_vector())),
+                                    grid.n)
 
 
 @dataclass(frozen=True)

@@ -565,6 +565,8 @@ def test_work_limits_exit_2_before_writing(tmp_path, capsys, argv, named):
     (["single", "--modes", "3", "--stride", "99999999999999999999"], "run.csv"),
     (["sweep", "--axis", "theta", "--values", "0.3", "--modes", "3", "--tmax", "1e19"],
      "run_theta_00.csv"),
+    # a stride past the float range: it once raised OverflowError, exit 1
+    (["double", "--modes", "3", "--stride", "1" + "0" * 400], "run.csv"),
 ])
 def test_step_counts_and_strides_beyond_int64(tmp_path, argv, written):
     assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 0
@@ -946,4 +948,37 @@ def test_readme_commands_stay_below_the_phase_warning(tmp_path, monkeypatch, com
     else:
         run = cli._plan(args)
         frequency_window = (run.grid.max_detuning + run.grid.collective_coupling, run.t_max)
+        # neither a shortened default window nor aliased samples: the
+        # sample spacing times max|delta| + G is 0.87 or less
+        assert run.notes == ()
     assert phase_rounding(*frequency_window) < 1e-12  # at most 2e-13
+
+
+def test_default_window_stops_short_of_phase_noise(tmp_path, capsys):
+    # five round trips of t_r = 2.2e8 round the phases by 1.2e-6 rad; the
+    # default window stops at the longest one that rounds by at most 1e-6
+    argv = ["--modes", "99", "--omega-a", "1e-4", "--length-ratio", "3480"]
+    out = tmp_path / "run.csv"
+    assert main(["double", *argv, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not [line for line in lines if "phases round" in line]
+    assert len([line for line in lines if line.startswith("default window shortened")]) == 1
+    grid = build_mode_grid(SystemConfig(omega_a=1e-4, length_ratio=3480.0, n_modes=99))
+    _, cols = read_csv(out)
+    t_max = cols["t"][-1]
+    assert 2.0 ** -53 * (grid.max_detuning + grid.collective_coupling) * t_max <= 1e-6
+    assert t_max < 5.0 * retardation_time(SystemConfig(omega_a=1e-4, length_ratio=3480.0,
+                                                       n_modes=99))
+
+
+def test_trajectory_runs_warn_when_samples_alias(tmp_path, capsys):
+    # stride * dt * (max|delta| + G) = 6.2: the default stride samples the
+    # vacuum Rabi oscillation of period 0.31 every 0.55 (every README
+    # command reads 0.87 or less and has no such line, see above)
+    out = tmp_path / "run.csv"
+    assert main(["double", "--modes", "99", "--omega-a", "100", "--length-ratio", "3480",
+                 "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "alias" in line]
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: --stride") and "--dt" in lines[0]
+    assert out.exists()

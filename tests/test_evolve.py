@@ -34,6 +34,7 @@ from djcsim.evolve import (
     comb_spectrum,
     generator_double,
     generator_single,
+    sample_count,
     sample_times,
     step_count,
 )
@@ -581,6 +582,7 @@ def test_sample_times_match_integrate(t_max, dt, stride):
     inner = [k * dt for k in range(stride, n_steps, stride)]
     expected = [0.0] + inner + [t_max] if n_steps else [0.0]
     assert traj.times.tolist() == expected
+    assert sample_count(t_max, dt, stride) == len(expected)
 
 
 def test_sample_times_stay_float_beyond_int64():

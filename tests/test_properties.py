@@ -2,9 +2,11 @@
 of the RK4 reference stack on small, slow grids, and of the revival
 detector against a sample-by-sample loop and numpy's median, of the CSV
 writer: its bytes against Python's %.17g, and its read-back, and of the
-exact engine's and RK4's runs through ``cli.main`` over the whole
-admitted space."""
+exact engine's, RK4's and the kernel trace's runs through ``cli.main``
+over the whole admitted space."""
 
+import contextlib
+import io
 import math
 import os
 import struct
@@ -138,20 +140,78 @@ def test_comb_spectrum_checks_hold(grid):
     assert np.all(np.diff(spectrum.eigenvalues) > 0.0)
 
 
+# omega_a or L/lambda_a, log-uniform over the float64 range
+log_uniform = st.floats(-307.0, 308.0).map(
+    lambda e: repr(min(10.0 ** e, 1.7976931348623157e308)))
+# a --tmax multiple of the default step: no window takes more than 501 steps
+step_multiples = st.integers(1, 500) | st.floats(0.0, 500.0, exclude_min=True)
+
+
+def argv_grid(argv):
+    """The grid of a drawn command line, or None where SystemConfig refuses it."""
+    def flag(name):
+        return argv[argv.index(name) + 1]
+    try:
+        return build_mode_grid(SystemConfig(
+            omega_a=float(flag("--omega-a")), length_ratio=float(flag("--length-ratio")),
+            n_modes=int(flag("--modes")), coupling_profile=flag("--profile")))
+    except ValueError:
+        return None
+
+
 @st.composite
 def exact_argvs(draw):
     """A double run or a theta sweep point over the float64 range of omega_a
     and L/lambda_a, at its default window: SystemConfig admits some, and
     the CLI refuses others with exit 2."""
-    def log_uniform():
-        return repr(min(10.0 ** draw(st.floats(-307.0, 308.0)), 1.7976931348623157e308))
     initial = draw(st.sampled_from((None, "atoms", "fields", "double")))
     command = ["double"] if initial is None else [
         "sweep", "--axis", "theta", "--values", repr(draw(thetas)), "--initial", initial]
     return [*command, "--modes", str(2 * draw(st.integers(0, 10)) + 1),
-            "--omega-a", log_uniform(), "--length-ratio", log_uniform(),
+            "--omega-a", draw(log_uniform), "--length-ratio", draw(log_uniform),
             "--theta", repr(draw(thetas)), "--profile", draw(profiles),
             "--angle-convention", draw(st.sampled_from(("printed", "swapped")))]
+
+
+@st.composite
+def explicit_window_argvs(draw):
+    """An ``exact_argvs`` command line whose --tmax is a drawn multiple of the
+    grid's default step; a grid SystemConfig refuses keeps the default window."""
+    argv = draw(exact_argvs())
+    grid = argv_grid(argv)
+    if grid is None:
+        return argv
+    return argv + ["--tmax", repr(draw(step_multiples) * default_step(grid))]
+
+
+@st.composite
+def kernel_argvs(draw):
+    """A kernel trace over the float64 range of omega_a and L/lambda_a, odd
+    n <= 21, at its default window of at most 1201 taus."""
+    return ["kernel", "--modes", str(2 * draw(st.integers(0, 10)) + 1),
+            "--omega-a", draw(log_uniform), "--length-ratio", draw(log_uniform),
+            "--profile", draw(profiles)]
+
+
+def check_run(argv):
+    """``main(argv)`` exits 0 or 2.  On 2 it writes nothing; on 0 it writes
+    its CSV, every cell finite, and a default window prints no phase
+    warning: it stops where float64 rounds the phases by the tolerance."""
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as folder, contextlib.redirect_stdout(stdout):
+        code = main(argv + ["--out", os.path.join(folder, "run.csv")])
+        assert code in (0, 2)
+        written = os.listdir(folder)
+        if code == 2:
+            assert written == []
+        # one run CSV; a sweep's summary has empty cells when nothing dies
+        runs = [name for name in written if not name.endswith("_summary.csv")]
+        assert len(runs) == (code == 0)
+        for name in runs:
+            cells = np.loadtxt(os.path.join(folder, name), delimiter=",", skiprows=1, ndmin=2)
+            assert np.all(np.isfinite(cells)), name
+    if "--tmax" not in argv:
+        assert "phases round" not in stdout.getvalue()
 
 
 # the grids the CLI refused for max|delta| / min g above 1e150
@@ -176,17 +236,19 @@ SPREAD_ARGVS = [
 # a mode spacing of exactly the exact engine's least, 1e-150
 @example(["double", "--modes", "3", "--omega-a", "2e-150", "--length-ratio", "2"])
 def test_exact_runs_write_finite_cells_or_exit_2(argv):
-    with tempfile.TemporaryDirectory() as folder:
-        code = main(argv + ["--out", os.path.join(folder, "run.csv")])
-        assert code in (0, 2)
-        written = sorted(os.listdir(folder))
-        if code == 2:
-            assert written == []
-        for name in written:
-            if name.endswith("_summary.csv"):  # empty cells when nothing dies
-                continue
-            cells = np.loadtxt(os.path.join(folder, name), delimiter=",", skiprows=1, ndmin=2)
-            assert np.all(np.isfinite(cells)), name
+    check_run(argv)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(explicit_window_argvs())
+def test_exact_runs_with_explicit_windows_write_finite_cells_or_exit_2(argv):
+    check_run(argv)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(kernel_argvs())
+def test_kernel_runs_write_finite_cells_or_exit_2(argv):
+    check_run(argv)
 
 
 @st.composite
@@ -195,21 +257,14 @@ def single_argvs(draw):
     odd n <= 21, whose --tmax is a drawn multiple, at most 500, of the
     grid's default step: no example steps more than 501 times.  A grid that
     SystemConfig refuses keeps the default window; the CLI exits 2 on it."""
-    def log_uniform():
-        return repr(min(10.0 ** draw(st.floats(-307.0, 308.0)), 1.7976931348623157e308))
-    n = 2 * draw(st.integers(0, 10)) + 1
-    omega_a, length_ratio = log_uniform(), log_uniform()
-    profile = draw(profiles)
-    argv = ["single", "--modes", str(n), "--omega-a", omega_a, "--length-ratio", length_ratio,
-            "--theta", repr(draw(thetas)), "--profile", profile,
+    argv = ["single", "--modes", str(2 * draw(st.integers(0, 10)) + 1),
+            "--omega-a", draw(log_uniform), "--length-ratio", draw(log_uniform),
+            "--theta", repr(draw(thetas)), "--profile", draw(profiles),
             "--initial", draw(st.sampled_from(("atoms", "fields"))),
             "--angle-convention", draw(st.sampled_from(("printed", "swapped")))]
-    multiple = draw(st.integers(1, 500) | st.floats(0.0, 500.0, exclude_min=True))
-    try:
-        grid = build_mode_grid(SystemConfig(omega_a=float(omega_a),
-                                            length_ratio=float(length_ratio),
-                                            n_modes=n, coupling_profile=profile))
-    except ValueError:
+    multiple = draw(step_multiples)
+    grid = argv_grid(argv)
+    if grid is None:
         return argv
     return argv + ["--tmax", repr(multiple * default_step(grid))]
 
@@ -217,16 +272,7 @@ def single_argvs(draw):
 @settings(max_examples=200, deadline=None, database=None)
 @given(single_argvs())
 def test_rk4_runs_write_finite_cells_or_exit_2(argv):
-    with tempfile.TemporaryDirectory() as folder:
-        code = main(argv + ["--out", os.path.join(folder, "run.csv")])
-        assert code in (0, 2)
-        written = os.listdir(folder)
-        if code == 2:
-            assert written == []
-        else:
-            cells = np.loadtxt(os.path.join(folder, "run.csv"), delimiter=",", skiprows=1,
-                               ndmin=2)
-            assert np.all(np.isfinite(cells))
+    check_run(argv)
 
 
 def loop_dead_and_peaks(t, c, floor=1e-6):
