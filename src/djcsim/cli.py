@@ -76,7 +76,10 @@ _SWEEP_DESTS = {"theta": "theta", "n_modes": "modes", "length_ratio": "length_ra
 
 #: Default window of a multimode trajectory run, in round trips.
 ROUND_TRIPS = 5
-#: Most samples one run may record (rows of its CSV).
+#: Most samples one run may record (rows of its CSV).  A row's columns and
+#: the arrays formed from them peak at about 94 bytes per row on RK4 (a
+#: single run), 84 on the exact engine's double runs and 101 on its single
+#: sweep points (tracemalloc over whole CLI runs), so about 0.1 GB here.
 MAX_SAMPLES = 10 ** 6
 #: Most steps one RK4 run may take.
 MAX_RK4_STEPS = 10 ** 7
@@ -238,6 +241,15 @@ def _format(value: float) -> str:
     return _CSV_SPEC % float(value)
 
 
+def _format_time(t: float) -> str:
+    """A summary time: %.6f where that fits in 16 characters and reads back
+    within 1e-6 relative, else %.7g, which always does."""
+    text = f"{t:.6f}"
+    if len(text) <= 16 and abs(float(text) - t) <= 1e-6 * abs(t):
+        return text
+    return f"{t:.7g}"
+
+
 def _write_csv(path: str, first_column: str, times, records: dict) -> None:
     """Write the columns as rows of ``_CSV_SPEC`` values, formatting
     ``_CSV_BLOCK`` rows at a time in ``csvcells.format_rows``; every cell
@@ -258,7 +270,7 @@ def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport
     conc = traj.records["c_ab"]
     norm = traj.records["norm"]
     t_r = retardation_time(config)
-    print(f"t_r={t_r:.6f}")
+    print(f"t_r={_format_time(t_r)}")
     if config.n_modes > 1:
         # the central coupling is 1, so Gamma = 2 pi / spacing = t_r
         regime = t_r * t_r
@@ -269,7 +281,7 @@ def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport
     note = "  (single-mode cavity: Rabi-periodic, round-trip times not applicable)" \
         if config.n_modes == 1 else ""
     print("predicted revival times: "
-          + ", ".join(f"{t:.6f}" for t in times) + note)
+          + ", ".join(_format_time(t) for t in times) + note)
     print(f"initial concurrence: {conc[0]:.6f}")
     print(f"final concurrence:   {conc[-1]:.6f}")
     print(f"max |norm - 1|: {float(np.max(np.abs(norm - 1.0))):.3e}")
@@ -442,10 +454,10 @@ def _run_kernel(args: argparse.Namespace) -> int:
         print(f"warning: --dt {dtau:g} exceeds pi/max|delta| = "
               f"{math.pi / grid.max_detuning:.3g}: |K| aliases and its rephasing maximum "
               f"is not resolved; lower --dt")
-    print(f"t_r={t_r:.6f}  K(0)={values[0].real:.6f}")
+    print(f"t_r={_format_time(t_r)}  K(0)={values[0].real:.6f}")
     if config.n_modes > 1:
         try:
-            echo = f"at tau={first_rephasing_maximum(taus, records['abs_k']):.6f}"
+            echo = f"at tau={_format_time(first_rephasing_maximum(taus, records['abs_k']))}"
         except ValueError:
             echo = "not reached within --tmax"
         print(f"first rephasing maximum of |K| {echo}")

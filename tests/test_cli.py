@@ -13,9 +13,9 @@ import pytest
 import djcsim
 from djcsim import (IntegrationError, SystemConfig, build_mode_grid, default_step,
                     first_kernel_echo, memory_kernel, retardation_time, run_double)
-from djcsim.cli import main, parse_number
+from djcsim.cli import _format_time, main, parse_number
 from djcsim.evolve import Trajectory, step_count
-from djcsim.revivals import detect_revivals, tau_count
+from djcsim.revivals import detect_revivals, predict_revival_times, tau_count
 
 SINGLE_HEADER = "t,c_ab,pop1,pop2,pop_cav_a,pop_cav_b,norm,re_c1,im_c1,re_c2,im_c2"
 DOUBLE_HEADER = "t,c_ab,p11,p2,p3,p4,p00,norm"
@@ -723,6 +723,45 @@ def test_summary_names_the_regime(tmp_path, capsys, command, modes, length_ratio
         assert f"\n{regime}" in printed
     assert ("no collapse expected before the first round trip" in printed) == warns
     assert "Gamma" not in out.read_text()
+
+
+def test_summary_times_fit_16_characters_and_read_back():
+    for exponent in range(-324, 309):
+        for mantissa in (1.0, 1.2345678901234567, 4.9999995, 9.9999999):
+            t = mantissa * 10.0 ** exponent
+            if t == math.inf:
+                continue
+            text = _format_time(t)
+            assert len(text) <= 16, t
+            assert abs(float(text) - t) <= 1e-6 * t, t
+    # the README grids keep their %.6f lines byte for byte
+    for length_ratio, omega_a in ((670.0, 4840.0), (3480.0, 4840.0), (1720.0, 11100.0)):
+        t_r = retardation_time(SystemConfig(omega_a=omega_a, length_ratio=length_ratio))
+        for k in (1, 2, 3):
+            assert _format_time(k * t_r) == f"{k * t_r:.6f}"
+
+
+@pytest.mark.parametrize("command", ["double", "kernel"])
+def test_summary_times_on_a_wide_grid(tmp_path, capsys, command):
+    # a mode spacing of 1e-150 puts t_r near 6.3e150, 158 characters in %.6f
+    grid_flags = ["--modes", "3", "--omega-a", "2e-150", "--length-ratio", "2"]
+    assert main([command, *grid_flags, "--out", str(tmp_path / "run.csv")]) == 0
+    printed = capsys.readouterr().out
+    config = SystemConfig(omega_a=2e-150, length_ratio=2.0, n_modes=3)
+    t_r = retardation_time(config)
+    expected = {"t_r=": [t_r]}
+    if command == "double":
+        expected["predicted revival times: "] = predict_revival_times(config, 3)
+    else:
+        expected["tau="] = [first_kernel_echo(build_mode_grid(config), t_r / 400.0)]
+    lines = printed.splitlines()
+    for label, times in expected.items():
+        (found,) = [line.split(label, 1)[1].split("  ")[0] for line in lines
+                    if line.startswith(label) or f" {label}" in line]
+        texts = found.split(", ")
+        assert len(texts) == len(times)
+        for text, t in zip(texts, times):
+            assert len(text) <= 16 and abs(float(text) - t) <= 1e-6 * t, text
 
 
 def test_default_runs_call_no_numpy_linalg(tmp_path, monkeypatch):

@@ -3,7 +3,8 @@ of the RK4 reference stack on small, slow grids, and of the revival
 detector against a sample-by-sample loop and numpy's median, of the CSV
 writer: its bytes against Python's %.17g, and its read-back, and of the
 exact engine's, RK4's and the kernel trace's runs through ``cli.main``
-over the whole admitted space."""
+over the whole admitted space: sweeps along every axis, drawn strides, and
+``--config`` files against the flags they carry."""
 
 import contextlib
 import io
@@ -193,25 +194,36 @@ def kernel_argvs(draw):
             "--profile", draw(profiles)]
 
 
-def check_run(argv):
-    """``main(argv)`` exits 0 or 2.  On 2 it writes nothing; on 0 it writes
-    its CSV, every cell finite, and a default window prints no phase
-    warning: it stops where float64 rounds the phases by the tolerance."""
+def run_in_folder(argv):
+    """Exit code, stdout and the files by name of ``main(argv)`` writing into
+    a fresh folder; the folder's path reads ``<out>`` in stdout."""
     stdout = io.StringIO()
     with tempfile.TemporaryDirectory() as folder, contextlib.redirect_stdout(stdout):
         code = main(argv + ["--out", os.path.join(folder, "run.csv")])
-        assert code in (0, 2)
-        written = os.listdir(folder)
-        if code == 2:
-            assert written == []
-        # one run CSV; a sweep's summary has empty cells when nothing dies
-        runs = [name for name in written if not name.endswith("_summary.csv")]
-        assert len(runs) == (code == 0)
-        for name in runs:
-            cells = np.loadtxt(os.path.join(folder, name), delimiter=",", skiprows=1, ndmin=2)
-            assert np.all(np.isfinite(cells)), name
+        files = {}
+        for name in os.listdir(folder):
+            with open(os.path.join(folder, name), "rb") as handle:
+                files[name] = handle.read()
+    return code, stdout.getvalue().replace(folder, "<out>"), files
+
+
+def check_run(argv, runs=1):
+    """``main(argv)`` exits 0 or 2.  On 2 it writes nothing; on 0 it writes
+    its ``runs`` CSVs, every cell finite, and a default window prints no
+    phase warning: it stops where float64 rounds the phases by the
+    tolerance."""
+    code, stdout, files = run_in_folder(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert files == {}
+    # a sweep's summary has empty cells when nothing dies
+    written = [name for name in files if not name.endswith("_summary.csv")]
+    assert len(written) == (runs if code == 0 else 0)
+    for name in written:
+        cells = np.loadtxt(io.BytesIO(files[name]), delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(cells)), name
     if "--tmax" not in argv:
-        assert "phases round" not in stdout.getvalue()
+        assert "phases round" not in stdout
 
 
 # the grids the CLI refused for max|delta| / min g above 1e150
@@ -273,6 +285,56 @@ def single_argvs(draw):
 @given(single_argvs())
 def test_rk4_runs_write_finite_cells_or_exit_2(argv):
     check_run(argv)
+
+
+@st.composite
+def axis_sweep_argvs(draw):
+    """A sweep over one to three odd mode counts up to 21, or over one to
+    three L/lambda_a values over the float64 range, at default windows."""
+    axis = draw(st.sampled_from(("n_modes", "length_ratio")))
+    value = (st.integers(0, 10).map(lambda k: str(2 * k + 1)) if axis == "n_modes"
+             else log_uniform)
+    values = draw(st.lists(value, min_size=1, max_size=3))
+    return ["sweep", "--axis", axis, "--values", ",".join(values),
+            "--initial", draw(st.sampled_from(("atoms", "fields", "double"))),
+            "--modes", str(2 * draw(st.integers(0, 10)) + 1),
+            "--omega-a", draw(log_uniform), "--length-ratio", draw(log_uniform),
+            "--theta", repr(draw(thetas)), "--profile", draw(profiles),
+            "--angle-convention", draw(st.sampled_from(("printed", "swapped")))]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(axis_sweep_argvs())
+def test_axis_sweeps_write_finite_cells_or_exit_2(argv):
+    check_run(argv, runs=len(argv[argv.index("--values") + 1].split(",")))
+
+
+@st.composite
+def strided_argvs(draw):
+    """An explicit-window exact or RK4 run, at most 501 steps, with a drawn
+    --stride, below and beyond the int64 range."""
+    argv = draw(explicit_window_argvs() | single_argvs())
+    return argv + ["--stride", str(draw(st.integers(1, 1000) | st.integers(1, 10 ** 20)))]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(strided_argvs())
+def test_strided_runs_write_finite_cells_or_exit_2(argv):
+    check_run(argv)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(strided_argvs() | axis_sweep_argvs() | kernel_argvs())
+def test_config_files_write_what_their_flags_write(argv):
+    # every flag after the subcommand as a key=value line of a --config file
+    lines = [f"{flag[2:].replace('-', '_')}={value}\n"
+             for flag, value in zip(argv[1::2], argv[2::2])]
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "run.cfg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        from_file = run_in_folder([argv[0], "--config", path])
+    assert from_file == run_in_folder(argv)
 
 
 def loop_dead_and_peaks(t, c, floor=1e-6):
