@@ -14,21 +14,21 @@ Every subcommand takes the grid (--modes, --length-ratio, --omega-a,
 --profile), the window (--tmax, --dt), --out and --config; only the
 trajectory runs take --theta, --stride and --angle-convention.  Each run
 writes one CSV (headers mandatory, '.' decimal separator, LF line endings)
-and prints a summary to stdout.  A default window stops where float64
-rounds the phases by 1e-6, and says so; a longer --tmax, or trajectory
-samples too sparse for the fastest frequency, print a warning line.
+and prints a summary to stdout.  Each run is planned whole before any work
+(_budget): the work limits, and two rules on the fastest frequency f of its
+phases (max|delta| + G for a trajectory, max|delta| for the kernel trace):
+float64 rounds a phase by up to u f t, which must stay within 1e-6 over the
+window, and samples must lie closer than pi / f.  A default window and
+stride keep both rules; an explicit --tmax, --stride or --dt that breaks
+one prints a warning line after the scenario line.
 Parameters can also be supplied as key=value lines in a file passed with
 --config; keys are the flag names with underscores, values are checked
 exactly like flags, and command-line flags win over file values.  The
 single subcommand propagates with RK4, which checks its stability limit
 before the first step; double runs and every sweep point use the exact
 single-comb engine (see _plan).
-Every CSV number is written as %.17g, which reads back to the same float64.
-The cells are produced in numpy blocks of 512 rows (csvcells), byte for
-byte as %.17g writes them: each cell is laid out in 32 bytes, masked to
-the bytes it keeps, and the NUL bytes left are deleted.  Python's %
-formats only the values outside its fast path (nonfinite, |v| <= 1e-6
-and |v| >= 1e17).
+Every CSV number is written as %.17g, which reads back to the same float64;
+csvcells formats the cells in numpy blocks of 512 rows, byte for byte.
 Exit codes: 0 success, 2 invalid parameters, paths or a run over the work
 limits, 3 numerical failure (nonfinite amplitudes, or an exact spectrum
 that fails its check).
@@ -42,7 +42,7 @@ import math
 import os
 import re
 import sys
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -229,23 +229,16 @@ def _make_config(args: argparse.Namespace, **theta) -> SystemConfig:
     return config
 
 
-def _default_periods(config: SystemConfig) -> Tuple[int, float]:
-    """The default window as a count of periods: two Rabi cycles of the
-    resonant mode for one mode, else ``ROUND_TRIPS`` round trips."""
-    if config.n_modes == 1:
-        return 2, 2.0 * math.pi
-    return ROUND_TRIPS, retardation_time(config)
-
-
 def _format(value: float) -> str:
     return _CSV_SPEC % float(value)
 
 
-def _format_time(t: float) -> str:
-    """A summary time: %.6f where that fits in 16 characters and reads back
-    within 1e-6 relative, else %.7g, which always does."""
-    text = f"{t:.6f}"
-    if len(text) <= 16 and abs(float(text) - t) <= 1e-6 * abs(t):
+def _format_time(t: float, decimals: int = 6) -> str:
+    """A summary time: ``decimals`` places where that fits in 16 characters
+    and reads back within 10**-decimals relative, else %.7g, which always
+    does; so a nonzero time never prints as zero."""
+    text = f"{t:.{decimals}f}"
+    if len(text) <= 16 and abs(float(text) - t) <= 10.0 ** -decimals * abs(t):
         return text
     return f"{t:.7g}"
 
@@ -287,13 +280,14 @@ def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport
     print(f"max |norm - 1|: {float(np.max(np.abs(norm - 1.0))):.3e}")
     print(f"engine: {traj.engine}")
     if report.dead_intervals:
-        spans = ", ".join(f"[{a:.4f}, {b:.4f}]" for a, b in report.dead_intervals[:5])
+        spans = ", ".join(f"[{_format_time(a, 4)}, {_format_time(b, 4)}]"
+                          for a, b in report.dead_intervals[:5])
         more = " ..." if len(report.dead_intervals) > 5 else ""
         print(f"dead intervals: {spans}{more}")
         try:
             first = first_revival_after_death(report)
-            print(f"first revival after collapse: onset={first.onset:.4f} "
-                  f"peak_t={first.peak_time:.4f} peak={first.peak_value:.6f}")
+            print(f"first revival after collapse: onset={_format_time(first.onset, 4)} "
+                  f"peak_t={_format_time(first.peak_time, 4)} peak={first.peak_value:.6f}")
         except ValueError:
             pass
     else:
@@ -302,8 +296,8 @@ def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport
     revivals = [event for event in report.revivals if event.peak_time != traj.times[0]]
     if revivals:
         for event in revivals[:5]:
-            print(f"revival: onset={event.onset:.4f} peak_t={event.peak_time:.4f} "
-                  f"peak={event.peak_value:.6f}")
+            print(f"revival: onset={_format_time(event.onset, 4)} "
+                  f"peak_t={_format_time(event.peak_time, 4)} peak={event.peak_value:.6f}")
         if len(revivals) > 5:
             print(f"({len(revivals) - 5} more revivals not shown)")
     else:
@@ -311,28 +305,8 @@ def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport
     print(f"wrote {out_path}")
 
 
-def _window(args: argparse.Namespace, periods: int, period: float, dt: float,
-            stride=None) -> tuple:
-    """--tmax and --dt, or the subcommand's defaults ``periods * period`` and
-    ``dt``, checked together with --stride where the subcommand takes one."""
-    t_max = periods * period if args.tmax is None else args.tmax
-    if args.tmax is None and t_max == math.inf:
-        raise ValueError(f"the default --tmax of {periods} round trips of t_r={period:.3g} "
-                         f"overflows; raise --omega-a, lower --length-ratio or pass --tmax")
-    if not 0 < t_max < math.inf:
-        raise ValueError(f"tmax must be positive and finite, got {t_max!r}")
-    dt = dt if args.dt is None else args.dt
-    check_window(t_max, dt, 1 if stride is None else stride)
-    return t_max, dt
-
-
-def _check_samples(samples: int, remedy: str) -> None:
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"{samples:.3g} samples exceed the limit of {MAX_SAMPLES}; {remedy}")
-
-
 class _Run(NamedTuple):
-    """One trajectory run, checked and ready to propagate."""
+    """One run, checked and ready to propagate or trace."""
 
     args: argparse.Namespace
     scenario: str
@@ -341,13 +315,69 @@ class _Run(NamedTuple):
     t_max: float
     dt: float
     stride: int
-    engine: str  # "exact" or "rk4"
+    engine: str  # "exact" or "rk4"; a kernel trace sums its modes exactly
     notes: Tuple[str, ...]  # lines the run prints after its scenario line
 
 
+def _budget(args: argparse.Namespace, periods: int, period: float, dt: float,
+            fastest: float, count: Callable[[float, float, int], int],
+            stride: Optional[int], knobs: str,
+            max_steps: float = math.inf) -> Tuple[float, float, int, Tuple[str, ...]]:
+    """A run's window, step and stride, planned within the run budget before
+    any work, and the notes the run prints.  The defaults are ``periods *
+    period``, ``dt`` and a None ``stride``.  ``fastest`` bounds every
+    frequency of the run's phases, ``count(t_max, dt, stride)`` counts its
+    samples, ``knobs`` names the flags that space them and ``max_steps``
+    bounds a stepping engine's steps.  Float64 rounds a phase by up to
+    u * fastest * t, and samples must lie closer than pi / fastest: a
+    default window or stride keeps both, an explicit flag past one warns."""
+    t_max = periods * period if args.tmax is None else args.tmax
+    if args.tmax is None and t_max == math.inf:
+        raise ValueError(f"the default --tmax of {periods} round trips of t_r={period:.3g} "
+                         f"overflows; raise --omega-a, lower --length-ratio or pass --tmax")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"tmax must be positive and finite, got {t_max!r}")
+    dt = dt if args.dt is None else args.dt
+    check_window(t_max, dt, 1 if stride is None else stride)
+    notes = []
+    rounding = 2.0 ** -53 * fastest  # per unit of time
+
+    def noisy(window: float) -> bool:
+        return rounding * window > _PHASE_TOL
+
+    if noisy(t_max) and args.tmax is None:  # the longest default window within it
+        longest = _PHASE_TOL / rounding
+        while noisy(longest):
+            longest = math.nextafter(longest, 0.0)
+        notes.append(f"default window shortened from t={t_max:.6g} to t={longest:.6g}, past "
+                     f"which float64 rounds the phases by over {_PHASE_TOL:g} rad")
+        t_max = longest
+    elif noisy(t_max):
+        notes.append(f"warning: phases round by up to {rounding * t_max:.2g} rad at "
+                     f"t={t_max:g}, above {_PHASE_TOL:g}: the columns and revivals are "
+                     f"noise; lower --tmax")
+    steps = step_count(t_max, dt)
+    if steps > max_steps:
+        raise ValueError(f"{steps:.3g} RK4 steps exceed the limit of {max_steps}; "
+                         f"lower --tmax or raise --dt")
+    if stride is None:  # about 2000 rows, as long as that keeps two per period
+        stride = max(1, math.floor(min(steps // 2000, math.pi / (dt * fastest))))
+    samples = count(t_max, dt, stride)
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"{samples:.3g} samples exceed the limit of {MAX_SAMPLES}; "
+                         f"raise {knobs}, or lower --tmax")
+    gap = min(stride, steps) * dt  # the widest gap between samples
+    if gap * fastest > math.pi:
+        notes.append(f"warning: samples {gap:.3g} apart exceed pi/{fastest:.3g} = "
+                     f"{math.pi / fastest:.3g}, half a period of the fastest phase: the "
+                     f"columns and their events alias; lower {knobs}")
+    return t_max, dt, stride, tuple(notes)
+
+
 def _plan(args: argparse.Namespace) -> _Run:
-    """Build and check one run, the work limits included, without running it
-    (``run_single`` checks the RK4 stability limit before its first step)."""
+    """Build and check one trajectory run, within the run budget, without
+    running it (``run_single`` checks the RK4 stability limit before its
+    first step)."""
     scenario = "double" if args.initial == "double" else f"single-{args.initial}"
     swapped = args.angle_convention == "swapped"
     config = _make_config(args, theta=math.pi / 2 - args.theta if swapped else args.theta)
@@ -356,54 +386,36 @@ def _plan(args: argparse.Namespace) -> _Run:
     # switching it waits for the benchmark change that updates the test.
     # Double runs and every sweep point use the exact engine.
     engine = "rk4" if args.command == "single" else "exact"
-    rk4 = engine == "rk4"
-    grid = build_mode_grid(config)
-    t_max, dt = _window(args, *_default_periods(config),
-                        default_step(grid, double=scenario == "double"), args.stride)
-    # max|delta| + G bounds every |eigenvalue| of the comb (the outer brackets
-    # of ``comb_spectrum``), so no spectrum is needed
-    fastest = grid.max_detuning + grid.collective_coupling
-    notes = []
-    if args.tmax is None and _phase_bound(fastest, t_max) > _PHASE_TOL:
-        longest = _PHASE_TOL / _phase_bound(fastest, 1.0)
-        while _phase_bound(fastest, longest) > _PHASE_TOL:
-            longest = math.nextafter(longest, 0.0)
-        notes.append(f"default window shortened from t={t_max:.6g} to t={longest:.6g}, past "
-                     f"which float64 rounds the phases by over {_PHASE_TOL:g} rad")
-        t_max = longest
     # one mode has one pole and no spacing for the solver to resolve
-    if not rk4 and config.n_modes > 1 and config.mode_spacing < MIN_EXACT_SPACING:
+    if engine == "exact" and config.n_modes > 1 and config.mode_spacing < MIN_EXACT_SPACING:
         raise ValueError(f"--omega-a {config.omega_a:g} over --length-ratio "
                          f"{config.length_ratio:g} gives a mode spacing of "
                          f"{config.mode_spacing:.3g}, below the exact engine's limit of "
                          f"{MIN_EXACT_SPACING:g}; raise --omega-a or lower --length-ratio")
-    steps = step_count(t_max, dt)
-    stride = max(1, steps // 2000) if args.stride is None else args.stride
-    if rk4 and steps > MAX_RK4_STEPS:
-        raise ValueError(f"{steps:.3g} RK4 steps exceed the limit of {MAX_RK4_STEPS}; "
-                         f"lower --tmax or raise --dt")
-    _check_samples(sample_count(t_max, dt, stride), "raise --stride or --dt, or lower --tmax")
-    gap = min(stride, steps) * dt  # the widest gap between samples
-    if gap * fastest > math.pi:
-        notes.append(f"warning: --stride {stride} x --dt {dt:g} spaces samples by {gap:.3g}, "
-                     f"above pi/(max|delta| + G) = {math.pi / fastest:.3g}: the columns and "
-                     f"revivals alias; lower --stride or --dt")
-    return _Run(args, scenario, config, grid, t_max, dt, stride, engine, tuple(notes))
+    grid = build_mode_grid(config)
+    # the default window: two Rabi cycles of the resonant mode for one mode
+    window = ((2, 2.0 * math.pi) if config.n_modes == 1
+              else (ROUND_TRIPS, retardation_time(config)))
+    # max|delta| + G bounds every |eigenvalue| of the comb (the outer brackets
+    # of ``comb_spectrum``), so no spectrum is needed
+    t_max, dt, stride, notes = _budget(
+        args, *window, default_step(grid, double=scenario == "double"),
+        grid.max_detuning + grid.collective_coupling, sample_count, args.stride,
+        "--stride or --dt", MAX_RK4_STEPS if engine == "rk4" else math.inf)
+    return _Run(args, scenario, config, grid, t_max, dt, stride, engine, notes)
 
 
-def _phase_bound(frequency: float, window: float) -> float:
-    """Bound u * frequency * window on the rounding of every phase of a run
-    whose frequencies are at most ``frequency``."""
-    return 2.0 ** -53 * window * frequency
-
-
-def _phase_rounding(frequency: float, window: float) -> float:
-    """``_phase_bound``, and the warning line when it exceeds ``_PHASE_TOL``."""
-    rounding = _phase_bound(frequency, window)
-    if rounding > _PHASE_TOL:
-        print(f"warning: phases round by up to {rounding:.2g} rad at t={window:g}, above "
-              f"{_PHASE_TOL:g}: the columns and revivals are noise; lower --tmax")
-    return rounding
+def _plan_kernel(args: argparse.Namespace) -> _Run:
+    """Build and check one kernel trace, within the run budget, without
+    evaluating the kernel: its taus are every multiple of --dt up to
+    --tmax, and its fastest term is exp(-i max|delta| tau)."""
+    config = _make_config(args)
+    grid = build_mode_grid(config)
+    t_r = retardation_time(config)
+    t_max, dt, stride, notes = _budget(
+        args, KERNEL_ROUND_TRIPS, t_r, t_r / 400.0, grid.max_detuning,
+        lambda tau_max, dtau, stride: tau_count(tau_max, dtau), 1, "--dt")
+    return _Run(args, "kernel", config, grid, t_max, dt, stride, "exact", notes)
 
 
 def _run_trajectory(run: _Run) -> RevivalReport:
@@ -425,36 +437,22 @@ def _run_trajectory(run: _Run) -> RevivalReport:
           f"theta={config.theta!r} ({args.angle_convention} convention)")
     for note in run.notes:
         print(note)
-    _phase_rounding(grid.max_detuning + grid.collective_coupling, run.t_max)
     _print_summary(config, traj, report, out_path)
     return report
 
 
-def _run_kernel(args: argparse.Namespace) -> int:
-    config = _make_config(args)
-    grid = build_mode_grid(config)
-    t_r = retardation_time(config)
-    tau_max, dtau = _window(args, KERNEL_ROUND_TRIPS, t_r, t_r / 400.0)
-    count = tau_count(tau_max, dtau)
-    _check_samples(count, "raise --dt or lower --tmax")
-    taus = np.arange(count) * dtau
-    values = memory_kernel(grid, taus)
-    records = {
-        "re_k": values.real,
-        "im_k": values.imag,
-        "abs_k": np.abs(values),
-    }
-    out_path = args.out or "djcsim_kernel.csv"
+def _run_kernel(run: _Run) -> None:
+    config = run.config
+    taus = np.arange(tau_count(run.t_max, run.dt)) * run.dt
+    values = memory_kernel(run.grid, taus)
+    records = {"re_k": values.real, "im_k": values.imag, "abs_k": np.abs(values)}
+    out_path = run.args.out or "djcsim_kernel.csv"
     _write_csv(out_path, "tau", taus, records)
     print(f"scenario: kernel  modes={config.n_modes} omega_a={config.omega_a} "
           f"length_ratio={config.length_ratio} profile={config.coupling_profile}")
-    _phase_rounding(grid.max_detuning, tau_max)
-    # the fastest term exp(-i max|delta| tau) needs two samples per period
-    if dtau * grid.max_detuning > math.pi:
-        print(f"warning: --dt {dtau:g} exceeds pi/max|delta| = "
-              f"{math.pi / grid.max_detuning:.3g}: |K| aliases and its rephasing maximum "
-              f"is not resolved; lower --dt")
-    print(f"t_r={_format_time(t_r)}  K(0)={values[0].real:.6f}")
+    for note in run.notes:
+        print(note)
+    print(f"t_r={_format_time(retardation_time(config))}  K(0)={values[0].real:.6f}")
     if config.n_modes > 1:
         try:
             echo = f"at tau={_format_time(first_rephasing_maximum(taus, records['abs_k']))}"
@@ -462,7 +460,6 @@ def _run_kernel(args: argparse.Namespace) -> int:
             echo = "not reached within --tmax"
         print(f"first rephasing maximum of |K| {echo}")
     print(f"wrote {out_path}")
-    return 0
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -518,11 +515,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             # File options go first, so a command-line flag (parsed later) wins.
             tokens = _config_tokens(args.config, subs[args.command])
             args = parser.parse_args(argv[:1] + tokens + argv[1:])
-        if args.command == "kernel":
-            return _run_kernel(args)
         if args.command == "sweep":
             return _run_sweep(args)
-        _run_trajectory(_plan(args))
+        if args.command == "kernel":
+            _run_kernel(_plan_kernel(args))
+        else:
+            _run_trajectory(_plan(args))
         return 0
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

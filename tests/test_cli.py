@@ -532,9 +532,11 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     # counts of about 1e302 are printed in %.3g form
     (["double", "--modes", "3", "--tmax", "1e300", "--stride", "1"], ["e+302 samples"]),
     (["single", "--modes", "3", "--tmax", "1e300"], ["e+302 RK4 steps"]),
-    # a default window that overflows names the grid flags, not a --tmax never passed
+    # a default window that overflows names the grid flags, not a --tmax never
+    # passed; the exact engine refuses the grid's spacing before its window
     *[([command, "--modes", "3", "--omega-a", "1e-300", "--length-ratio", "1e7"],
-       ["default --tmax", "overflows", "--omega-a", "--length-ratio", "--tmax"])
+       ["--omega-a", "--length-ratio"] + (["1e-150"] if command == "double" else
+                                          ["default --tmax", "overflows", "--tmax"]))
       for command in ("single", "double", "kernel")],
     # a spacing whose squared eigenvector components overflow in the exact engine
     *[(["double", "--modes", "3", "--omega-a", omega_a, "--length-ratio", "1e7", "--tmax", "1"],
@@ -549,6 +551,12 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     (["double", "--modes", "3", "--stride", "-2"], ["stride"]),
     (["sweep", "--axis", "theta", "--values", "0.3", "--modes", "3", "--stride", "0"],
      ["stride"]),
+    # a default stride keeps two samples per period of the fastest phase,
+    # which takes 2.9e9 and 2.9e17 rows over these windows
+    *[(["double", *argv], ["e+09 samples" if "1e-4" in argv else "e+17 samples", "1000000",
+                           "--stride", "--tmax"])
+      for argv in (["--modes", "99", "--omega-a", "1e-4", "--length-ratio", "3480"],
+                   ["--modes", "3", "--tmax", "1e17"])],
 ])
 def test_work_limits_exit_2_before_writing(tmp_path, capsys, argv, named):
     assert main(argv + ["--out", str(tmp_path / "big.csv")]) == 2
@@ -560,11 +568,13 @@ def test_work_limits_exit_2_before_writing(tmp_path, capsys, argv, named):
 
 
 @pytest.mark.parametrize("argv,written", [
-    (["double", "--modes", "3", "--tmax", "1e17"], "run.csv"),
+    # 2.3e19 and 2.3e21 steps; the default stride would keep two samples per
+    # period of the fastest phase, too many rows for the sample limit
+    (["double", "--modes", "3", "--tmax", "1e17", "--stride", "10000000000000000"], "run.csv"),
     (["double", "--modes", "3", "--stride", "99999999999999999999"], "run.csv"),
     (["single", "--modes", "3", "--stride", "99999999999999999999"], "run.csv"),
-    (["sweep", "--axis", "theta", "--values", "0.3", "--modes", "3", "--tmax", "1e19"],
-     "run_theta_00.csv"),
+    (["sweep", "--axis", "theta", "--values", "0.3", "--modes", "3", "--tmax", "1e19",
+      "--stride", "1000000000000000000"], "run_theta_00.csv"),
     # a stride past the float range: it once raised OverflowError, exit 1
     (["double", "--modes", "3", "--stride", "1" + "0" * 400], "run.csv"),
 ])
@@ -580,9 +590,10 @@ def test_step_counts_and_strides_beyond_int64(tmp_path, argv, written):
 
 
 def test_exact_engine_ignores_the_step_count_limit(tmp_path):
-    # 1e9 time units at the default ~2000 rows: too many RK4 steps, few samples
+    # 1e9 time units in about 2300 rows: too many RK4 steps, few samples
     out = tmp_path / "long.csv"
-    assert main(["double", "--modes", "3", "--tmax", "1e9", "--out", str(out)]) == 0
+    assert main(["double", "--modes", "3", "--tmax", "1e9", "--stride", "100000000",
+                 "--out", str(out)]) == 0
     _, cols = read_csv(out)
     assert cols["t"][-1] == 1e9
     assert np.max(np.abs(cols["norm"] - 1.0)) <= 1e-12
@@ -610,9 +621,10 @@ def test_default_stride_counts_the_steps_taken(tmp_path):
 def test_wide_spacing_runs_or_exits_2(tmp_path, capsys, omega_a, profile, command):
     # a mode spacing of 1e16 and more once rounded the spectrum's outer
     # brackets onto their poles and failed its check with exit 3; every
-    # such run now passes the check
+    # such run now passes the check.  --dt samples the window 2000 times:
+    # the default step resolves the comb, far too many samples for the limit
     assert main([*command, "--modes", "3", "--omega-a", omega_a, "--length-ratio", "3",
-                 "--tmax", "1e-15", "--profile", profile,
+                 "--tmax", "1e-15", "--dt", "5e-19", "--profile", profile,
                  "--out", str(tmp_path / "run.csv")]) == 0
     checks = re.search(r"eigen residual (\S+), orthogonality error (\S+),",
                        capsys.readouterr().out)
@@ -629,8 +641,10 @@ def test_wide_spacing_runs_or_exits_2(tmp_path, capsys, omega_a, profile, comman
     # couplings once overflowed and the run exited 2 naming --dt
     *[[command, "--modes", "3", "--omega-a", "1.7e308", "--length-ratio", "3"]
       for command in ("single", "double", "kernel")],
-    # 2e-150 over 2 is a mode spacing of exactly 1e-150, the exact engine's least
-    ["double", "--modes", "3", "--omega-a", "2e-150", "--length-ratio", "2"],
+    # 2e-150 over 2 is a mode spacing of exactly 1e-150, the exact engine's
+    # least; its shortened default window takes 2.9e11 steps of the default dt
+    ["double", "--modes", "3", "--omega-a", "2e-150", "--length-ratio", "2",
+     "--stride", "100000000"],
 ])
 def test_extreme_grids_run_with_finite_cells(tmp_path, argv):
     out = tmp_path / "run.csv"
@@ -726,26 +740,33 @@ def test_summary_names_the_regime(tmp_path, capsys, command, modes, length_ratio
 
 
 def test_summary_times_fit_16_characters_and_read_back():
+    # six places, and four for event times; within the relative bound no
+    # nonzero time prints as zero
     for exponent in range(-324, 309):
         for mantissa in (1.0, 1.2345678901234567, 4.9999995, 9.9999999):
             t = mantissa * 10.0 ** exponent
             if t == math.inf:
                 continue
-            text = _format_time(t)
-            assert len(text) <= 16, t
-            assert abs(float(text) - t) <= 1e-6 * t, t
-    # the README grids keep their %.6f lines byte for byte
+            for decimals in (6, 4):
+                text = _format_time(t, decimals)
+                assert len(text) <= 16, t
+                assert abs(float(text) - t) <= 10.0 ** -decimals * t, t
+    assert (_format_time(0.0, 4), _format_time(3e-5, 4)) == ("0.0000", "3e-05")
+    # the README grids keep their %.6f lines, and event times from 0.5 on
+    # their %.4f, byte for byte
     for length_ratio, omega_a in ((670.0, 4840.0), (3480.0, 4840.0), (1720.0, 11100.0)):
         t_r = retardation_time(SystemConfig(omega_a=omega_a, length_ratio=length_ratio))
         for k in (1, 2, 3):
             assert _format_time(k * t_r) == f"{k * t_r:.6f}"
+            assert _format_time(k * t_r, 4) == f"{k * t_r:.4f}"
 
 
 @pytest.mark.parametrize("command", ["double", "kernel"])
 def test_summary_times_on_a_wide_grid(tmp_path, capsys, command):
     # a mode spacing of 1e-150 puts t_r near 6.3e150, 158 characters in %.6f
     grid_flags = ["--modes", "3", "--omega-a", "2e-150", "--length-ratio", "2"]
-    assert main([command, *grid_flags, "--out", str(tmp_path / "run.csv")]) == 0
+    stride = ["--stride", "100000000"] if command == "double" else []
+    assert main([command, *grid_flags, *stride, "--out", str(tmp_path / "run.csv")]) == 0
     printed = capsys.readouterr().out
     config = SystemConfig(omega_a=2e-150, length_ratio=2.0, n_modes=3)
     t_r = retardation_time(config)
@@ -837,6 +858,10 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("initial=atoms\n")
     assert main(["double", "--config", str(cfg)]) == 2
     assert "initial" in capsys.readouterr().err
+    # a line without '=' names its file and line
+    cfg.write_text("modes=3\n\n# comment\nmodes 5\n")
+    assert main(["double", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:4: expected key=value, got 'modes 5'\n"
 
 
 @pytest.mark.parametrize("command,key,value", [
@@ -931,8 +956,11 @@ def test_readme_command_runs(tmp_path, command):
 
 
 @pytest.mark.parametrize("argv,warns", [
-    pytest.param(["double", "--modes", "3", "--tmax", "1e17"], True, id="double-1e17"),
-    pytest.param(["double", "--modes", "3", "--tmax", "1e9"], False, id="double-1e9"),
+    # strides that keep about 2300 rows of the 2.3e19 and 2.3e11 steps
+    pytest.param(["double", "--modes", "3", "--tmax", "1e17", "--stride", "10000000000000000"],
+                 True, id="double-1e17"),
+    pytest.param(["double", "--modes", "3", "--tmax", "1e9", "--stride", "100000000"], False,
+                 id="double-1e9"),
     pytest.param(["kernel", "--modes", "19", "--tmax", "1e17", "--dt", "1e12"], True,
                  id="kernel-1e17"),
     pytest.param(["kernel", "--modes", "19", "--tmax", "1e8", "--dt", "1000"], False,
@@ -961,42 +989,44 @@ def test_kernel_warns_when_dt_aliases_the_trace(tmp_path, capsys, argv, warns):
     # dtau = t_r/400 gives m * 2pi/400 with m = (n-1)/2, past pi from n = 403
     out = tmp_path / "kernel.csv"
     assert main(["kernel", *argv, "--out", str(out)]) == 0
-    lines = [line for line in capsys.readouterr().out.splitlines() if "aliases" in line]
+    lines = [line for line in capsys.readouterr().out.splitlines() if "alias" in line]
     assert len(lines) == int(warns)
     if warns:
-        assert lines[0].startswith("warning: --dt") and "pi/max|delta|" in lines[0]
+        assert lines[0].startswith("warning: samples") and lines[0].endswith("lower --dt")
     assert out.exists()
 
 
 @pytest.mark.parametrize("command", [c for part in readme_commands() for c in part])
-def test_readme_commands_stay_below_the_phase_warning(tmp_path, monkeypatch, command):
-    # each trajectory command's own window, planned but not run (the scenario
-    # sets only the default dt, which the bound does not use); kernel traces
-    # are cheap, so the kernel command runs and reports its bound
+def test_readme_commands_stay_below_the_phase_warning(monkeypatch, command):
+    # each command's own window, planned but not run: no shortened default
+    # window, no phase warning and no aliased samples, and far below the
+    # phase budget (the scenario sets only the default dt, which the bound
+    # does not use)
     import djcsim.cli as cli
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kernel evaluated")
+
+    monkeypatch.setattr(cli, "memory_kernel", forbidden)
     parser, _ = cli._build_parser()
     args = parser.parse_args(shlex.split(command)[1:])
-    phase_rounding = cli._phase_rounding
     if args.command == "kernel":
-        calls = []
-        monkeypatch.setattr(cli, "_phase_rounding", lambda *a: calls.append(a))
-        args.out = str(tmp_path / "kernel.csv")
-        assert cli._run_kernel(args) == 0
-        (frequency_window,) = calls
+        run = cli._plan_kernel(args)
+        fastest = run.grid.max_detuning
     else:
         run = cli._plan(args)
-        frequency_window = (run.grid.max_detuning + run.grid.collective_coupling, run.t_max)
-        # neither a shortened default window nor aliased samples: the
-        # sample spacing times max|delta| + G is 0.87 or less
-        assert run.notes == ()
-    assert phase_rounding(*frequency_window) < 1e-12  # at most 2e-13
+        fastest = run.grid.max_detuning + run.grid.collective_coupling
+    assert run.notes == ()
+    assert 2.0 ** -53 * fastest * run.t_max < 1e-12  # at most 2e-13
 
 
 def test_default_window_stops_short_of_phase_noise(tmp_path, capsys):
     # five round trips of t_r = 2.2e8 round the phases by 1.2e-6 rad; the
-    # default window stops at the longest one that rounds by at most 1e-6
-    argv = ["--modes", "99", "--omega-a", "1e-4", "--length-ratio", "3480"]
+    # default window stops at the longest one that rounds by at most 1e-6.
+    # The stride keeps 2870 of its 2.9e11 steps: the default stride would
+    # keep two samples per period of the fastest phase, over the sample limit
+    argv = ["--modes", "99", "--omega-a", "1e-4", "--length-ratio", "3480",
+            "--stride", "100000000"]
     out = tmp_path / "run.csv"
     assert main(["double", *argv, "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -1011,13 +1041,70 @@ def test_default_window_stops_short_of_phase_noise(tmp_path, capsys):
 
 
 def test_trajectory_runs_warn_when_samples_alias(tmp_path, capsys):
-    # stride * dt * (max|delta| + G) = 6.2: the default stride samples the
-    # vacuum Rabi oscillation of period 0.31 every 0.55 (every README
-    # command reads 0.87 or less and has no such line, see above)
+    # stride * dt * (max|delta| + G) = 6.2: --stride 173 samples the vacuum
+    # Rabi oscillation of period 0.31 every 0.55 (every README command reads
+    # 0.87 or less and has no such line, see above)
+    out = tmp_path / "run.csv"
+    assert main(["double", "--modes", "99", "--omega-a", "100", "--length-ratio", "3480",
+                 "--stride", "173", "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "alias" in line]
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: samples") and lines[0].endswith("lower --stride or --dt")
+    assert out.exists()
+
+
+def test_default_stride_keeps_two_samples_per_period(tmp_path, capsys):
+    # steps // 2000 = 173 would space the samples by 0.55 against the vacuum
+    # Rabi period 0.31; the default stride stops at pi / (dt (max|delta| + G))
     out = tmp_path / "run.csv"
     assert main(["double", "--modes", "99", "--omega-a", "100", "--length-ratio", "3480",
                  "--out", str(out)]) == 0
-    lines = [line for line in capsys.readouterr().out.splitlines() if "alias" in line]
-    assert len(lines) == 1
-    assert lines[0].startswith("warning: --stride") and "--dt" in lines[0]
-    assert out.exists()
+    assert "alias" not in capsys.readouterr().out
+    grid = build_mode_grid(SystemConfig(omega_a=100.0, length_ratio=3480.0, n_modes=99))
+    fastest = grid.max_detuning + grid.collective_coupling
+    dt = default_step(grid, double=True)
+    stride = math.floor(math.pi / (dt * fastest))
+    _, cols = read_csv(out)
+    assert len(cols["t"]) == 3981
+    assert cols["t"][1] == stride * dt and stride * dt * fastest <= math.pi
+
+
+def test_kernel_over_the_sample_limit_evaluates_no_kernel(tmp_path, monkeypatch, capsys):
+    import djcsim.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kernel evaluated")
+
+    monkeypatch.setattr(cli, "memory_kernel", forbidden)
+    assert main(["kernel", "--modes", "19", "--dt", "1e-7",
+                 "--out", str(tmp_path / "kernel.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "samples exceed the limit of 1000000" in err and "--dt" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kernel_plans_its_aliasing_note_without_evaluating_it(monkeypatch):
+    # the default dtau = t_r/400 gives dtau max|delta| = 201 * 2pi/400 > pi
+    import djcsim.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kernel evaluated")
+
+    monkeypatch.setattr(cli, "memory_kernel", forbidden)
+    parser, _ = cli._build_parser()
+    run = cli._plan_kernel(parser.parse_args(["kernel", "--modes", "403"]))
+    (note,) = run.notes
+    assert note.startswith("warning: samples") and note.endswith("lower --dt")
+
+
+def test_summary_event_times_on_a_far_window(tmp_path, capsys):
+    # events near 1e16 once printed 21 characters of %.4f, digits float64
+    # does not hold
+    argv = ["double", "--modes", "3", "--tmax", "1e17", "--stride", "100000000000000"]
+    assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 0
+    events = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith(("dead intervals:", "first revival", "revival:"))]
+    times = re.findall(r"(?:onset=|peak_t=|\[|, )([^ ,\]]+)", "\n".join(events))
+    assert len(events) == 7 and len(times) == 22
+    for text in times:
+        assert len(text) <= 16 and "e+" in text, text

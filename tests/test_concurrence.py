@@ -201,6 +201,8 @@ def test_wootters_rejects_unphysical_matrices():
     indefinite[1, 1] = 1.0 + 1e-6
     with pytest.raises(ValueError, match="negative eigenvalue"):
         concurrence_wootters(indefinite)
+    with pytest.raises(ValueError, match=r"expected a 4x4 density matrix, got shape \(2, 2\)"):
+        concurrence_wootters(np.eye(2) / 2)
 
 
 def test_wootters_accepts_trajectory_norm_budget():

@@ -224,6 +224,13 @@ def test_expm_oracle_dimension_cap():
         expm_oracle(state, grid, 1.0)
 
 
+def test_expm_oracle_rejects_other_states():
+    grid = build_mode_grid(reference_config(1, 670.0))
+    state = init_atoms_entangled(0.4, grid)
+    with pytest.raises(TypeError, match="^unsupported state type ndarray$"):
+        expm_oracle(state.to_vector(), grid, 1.0)
+
+
 def test_rk4_matches_expm_oracle_n3():
     grid = build_mode_grid(reference_config(3, 670.0, profile="sqrtfreq"))
     state = init_atoms_entangled(math.pi / 4, grid)

@@ -209,9 +209,10 @@ def run_in_folder(argv):
 
 def check_run(argv, runs=1):
     """``main(argv)`` exits 0 or 2.  On 2 it writes nothing; on 0 it writes
-    its ``runs`` CSVs, every cell finite, and a default window prints no
-    phase warning: it stops where float64 rounds the phases by the
-    tolerance."""
+    its ``runs`` CSVs, every cell finite, a default window prints no phase
+    warning (it stops where float64 rounds the phases by the tolerance),
+    and a default stride and step print no aliasing warning (the stride
+    keeps two samples per period of the fastest phase)."""
     code, stdout, files = run_in_folder(argv)
     assert code in (0, 2)
     if code == 2:
@@ -224,6 +225,8 @@ def check_run(argv, runs=1):
         assert np.all(np.isfinite(cells)), name
     if "--tmax" not in argv:
         assert "phases round" not in stdout
+    if "--stride" not in argv and "--dt" not in argv:
+        assert "alias" not in stdout
 
 
 # the grids the CLI refused for max|delta| / min g above 1e150
