@@ -5,7 +5,6 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from djcsim import (IntegrationError, SystemConfig, build_mode_grid, default_ste
 from djcsim.cli import _format_time, main, parse_number
 from djcsim.evolve import Trajectory, step_count
 from djcsim.revivals import detect_revivals, predict_revival_times, tau_count
+from make_reference import readme_commands, readme_snippet
 
 SINGLE_HEADER = "t,c_ab,pop1,pop2,pop_cav_a,pop_cav_b,norm,re_c1,im_c1,re_c2,im_c2"
 DOUBLE_HEADER = "t,c_ab,p11,p2,p3,p4,p00,norm"
@@ -916,20 +916,8 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def readme_commands():
-    """The ``djcsim ...`` commands of README.md: its CLI block, then its
-    reference scenario table."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
-    table = text.split("## Reference scenarios", 1)[1].split("\n## ", 1)[0]
-    return ([line for line in block.splitlines() if line.startswith("djcsim ")],
-            re.findall(r"`(djcsim [^`]*)`", table))
-
-
 def test_readme_library_snippet_runs(capsys):
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    (snippet,) = re.findall(r"```python\n(.*?)```", text, re.S)
-    exec(snippet, {})
+    exec(readme_snippet(), {})
     printed = capsys.readouterr().out
     assert re.fullmatch(r"RevivalEvent\(onset=4\.4346\d*, .*\)\n", printed)
 
