@@ -37,7 +37,6 @@ from .revivals import (
     first_kernel_echo,
     first_revival_after_death,
     memory_kernel,
-    predict_revival_times,
 )
 from .single import (
     SingleExcState,
@@ -74,7 +73,6 @@ __all__ = [
     "memory_kernel",
     "observables_double",
     "observables_single",
-    "predict_revival_times",
     "retardation_time",
     "rho_atoms_double",
     "rho_atoms_single",

@@ -65,7 +65,6 @@ from .revivals import (
     first_rephasing_maximum,
     first_revival_after_death,
     memory_kernel,
-    predict_revival_times,
     tau_count,
 )
 from .single import init_atoms_entangled, init_fields_entangled
@@ -270,7 +269,7 @@ def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport
         warning = (f"  (below {_COLLAPSE_REGIME:g}: no collapse expected before the "
                    f"first round trip)" if regime < _COLLAPSE_REGIME else "")
         print(f"Gamma*t_r={regime:.4g}{warning}")
-    times = predict_revival_times(config, 3)
+    times = [m * t_r for m in (1, 2, 3)]
     note = "  (single-mode cavity: Rabi-periodic, round-trip times not applicable)" \
         if config.n_modes == 1 else ""
     print("predicted revival times: "
@@ -396,11 +395,9 @@ def _plan(args: argparse.Namespace) -> _Run:
     # the default window: two Rabi cycles of the resonant mode for one mode
     window = ((2, 2.0 * math.pi) if config.n_modes == 1
               else (ROUND_TRIPS, retardation_time(config)))
-    # max|delta| + G bounds every |eigenvalue| of the comb (the outer brackets
-    # of ``comb_spectrum``), so no spectrum is needed
     t_max, dt, stride, notes = _budget(
         args, *window, default_step(grid, double=scenario == "double"),
-        grid.max_detuning + grid.collective_coupling, sample_count, args.stride,
+        grid.frequency_bound, sample_count, args.stride,
         "--stride or --dt", MAX_RK4_STEPS if engine == "rk4" else math.inf)
     return _Run(args, scenario, config, grid, t_max, dt, stride, engine, notes)
 

@@ -93,8 +93,7 @@ def default_step(grid: ModeGrid, double: bool = False) -> float:
 
 def stability_limit(grid: ModeGrid) -> float:
     """Largest step for which RK4 stays stable on this grid (conservative)."""
-    spectral_bound = 2.0 * (grid.max_detuning + grid.collective_coupling)
-    return _RK4_IMAG_STABILITY / spectral_bound
+    return _RK4_IMAG_STABILITY / (2.0 * grid.frequency_bound)
 
 
 def check_window(t_max: float, dt: float, sample_stride: int = 1) -> None:

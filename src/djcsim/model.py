@@ -126,6 +126,14 @@ class ModeGrid:
         """G = sqrt(sum of squared couplings), the atom's coupling to the whole comb."""
         return math.sqrt(float(np.sum(self.couplings ** 2)))
 
+    @property
+    def frequency_bound(self) -> float:
+        """max|delta| + G, which no eigenvalue of the comb's arrowhead
+        [[0, g], [g, diag(delta)]] exceeds in magnitude (``comb_spectrum``'s
+        outer brackets rely on it), so it bounds every frequency of the
+        amplitudes without a spectrum."""
+        return self.max_detuning + self.collective_coupling
+
 
 def build_mode_grid(config: SystemConfig) -> ModeGrid:
     """Construct the symmetric mode grid for one cavity of the pair.

@@ -1,4 +1,4 @@
-"""Memory kernel, revival detection and round-trip timing.
+"""Memory kernel and revival detection.
 
 Eliminating the field amplitudes from the single-excitation equations turns
 them into integro-differential equations whose kernel is the mode-summed
@@ -23,7 +23,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from .evolve import TIME_BLOCK, Trajectory, check_window
-from .model import ModeGrid, SystemConfig, retardation_time
+from .model import ModeGrid
 
 #: Concurrence at or below this counts as dead (zero up to rounding).
 FLOOR = 1e-6
@@ -117,18 +117,6 @@ def first_rephasing_maximum(taus: np.ndarray, magnitudes: np.ndarray) -> float:
     if not maxima.size:
         raise ValueError("no rephasing maximum among the sampled taus")
     return float(taus[below[0] + 1 + maxima[0]])
-
-
-def predict_revival_times(config: SystemConfig, count: int) -> List[float]:
-    """The first ``count`` multiples of the round-trip time.
-
-    For a single-mode cavity the values are still defined but the dynamics
-    is Rabi-periodic rather than echo-like, so they carry no significance.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
-    t_r = retardation_time(config)
-    return [m * t_r for m in range(1, count + 1)]
 
 
 def detect_revivals(traj: Trajectory, predicted_period: float = math.nan) -> RevivalReport:

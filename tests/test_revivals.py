@@ -12,7 +12,6 @@ from djcsim import (
     first_kernel_echo,
     first_revival_after_death,
     memory_kernel,
-    predict_revival_times,
     retardation_time,
 )
 from djcsim.evolve import TIME_BLOCK
@@ -128,19 +127,18 @@ def test_first_kernel_echo_needs_a_comb():
 
 
 def test_predict_revival_times():
+    # revivals are predicted at the multiples of the round-trip time
     cfg = SystemConfig(omega_a=4840.0, length_ratio=670.0, n_modes=19)
-    times = predict_revival_times(cfg, 3)
-    t_r = 2 * math.pi * 670.0 / 4840.0
-    np.testing.assert_allclose(times, [t_r, 2 * t_r, 3 * t_r], rtol=1e-12)
-    assert times[0] == pytest.approx(0.8698, abs=2e-4)
+    t_r = retardation_time(cfg)
+    assert t_r == pytest.approx(2 * math.pi * 670.0 / 4840.0, rel=1e-12)
+    assert t_r == pytest.approx(0.8698, abs=2e-4)
 
     hi = SystemConfig(omega_a=11100.0, length_ratio=3480.0, n_modes=19)
-    assert predict_revival_times(hi, 1)[0] == pytest.approx(1.9697, abs=2e-4)
+    assert retardation_time(hi) == pytest.approx(1.9697, abs=2e-4)
 
+    # defined, though without an echo, for a single mode
     single = SystemConfig(omega_a=10.0, length_ratio=5.0, n_modes=1)
-    assert len(predict_revival_times(single, 2)) == 2
-    with pytest.raises(ValueError, match="count"):
-        predict_revival_times(cfg, 0)
+    assert retardation_time(single) == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_detector_on_rabi_trace():
