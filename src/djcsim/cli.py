@@ -15,12 +15,18 @@ Every subcommand takes the grid (--modes, --length-ratio, --omega-a,
 trajectory runs take --theta, --stride and --angle-convention.  Each run
 writes one CSV (headers mandatory, '.' decimal separator, LF line endings)
 and prints a summary to stdout.  Each run is planned whole before any work
-(_budget): the work limits, and two rules on the fastest frequency f of its
-phases (max|delta| + G for a trajectory, max|delta| for the kernel trace):
-float64 rounds a phase by up to u f t, which must stay within 1e-6 over the
-window, and samples must lie closer than pi / f.  A default window and
-stride keep both rules; an explicit --tmax, --stride or --dt that breaks
-one prints a warning line after the scenario line.
+(_budget): the work limits, and two rules on the frequencies of its phases,
+at most f = max|delta| + G for a trajectory and max|delta| for the kernel
+trace.  Float64 rounds a phase by up to u f t, which must stay within 1e-6
+over the window.  A column of degree m in the phases oscillates at sums
+and differences of m frequencies, up to m f, so samples must lie closer
+than pi / (m f): m = 2 for a single run, whose columns are quadratic in the
+atom amplitude; m = 4 for a double run, quadratic in its two-excitation
+amplitudes, the products of two; m = 1 for the kernel trace, linear in its
+phases.  A default window and stride keep both rules; an explicit --tmax,
+--stride or --dt that breaks one prints a warning line after the scenario
+line.  A trajectory whose frequency differences, up to 2 f, float64 cannot
+hold exits 2.
 Parameters can also be supplied as key=value lines in a file passed with
 --config; keys are the flag names with underscores, values are checked
 exactly like flags, and command-line flags win over file values.  The
@@ -319,17 +325,19 @@ class _Run(NamedTuple):
 
 
 def _budget(args: argparse.Namespace, periods: int, period: float, dt: float,
-            fastest: float, count: Callable[[float, float, int], int],
+            fastest: float, order: int, count: Callable[[float, float, int], int],
             stride: Optional[int], knobs: str,
             max_steps: float = math.inf) -> Tuple[float, float, int, Tuple[str, ...]]:
     """A run's window, step and stride, planned within the run budget before
     any work, and the notes the run prints.  The defaults are ``periods *
     period``, ``dt`` and a None ``stride``.  ``fastest`` bounds every
-    frequency of the run's phases, ``count(t_max, dt, stride)`` counts its
-    samples, ``knobs`` names the flags that space them and ``max_steps``
-    bounds a stepping engine's steps.  Float64 rounds a phase by up to
-    u * fastest * t, and samples must lie closer than pi / fastest: a
-    default window or stride keeps both, an explicit flag past one warns."""
+    frequency of the run's phases, ``order`` is the degree of its columns
+    in them, ``count(t_max, dt, stride)`` counts its samples, ``knobs``
+    names the flags that space them and ``max_steps`` bounds a stepping
+    engine's steps.  Float64 rounds a phase by up to u * fastest * t, and
+    samples must lie closer than pi / (order * fastest), half a period of
+    the fastest column: a default window or stride keeps both, an explicit
+    flag past one warns."""
     t_max = periods * period if args.tmax is None else args.tmax
     if args.tmax is None and t_max == math.inf:
         raise ValueError(f"the default --tmax of {periods} round trips of t_r={period:.3g} "
@@ -360,16 +368,16 @@ def _budget(args: argparse.Namespace, periods: int, period: float, dt: float,
         raise ValueError(f"{steps:.3g} RK4 steps exceed the limit of {max_steps}; "
                          f"lower --tmax or raise --dt")
     if stride is None:  # about 2000 rows, as long as that keeps two per period
-        stride = max(1, math.floor(min(steps // 2000, math.pi / (dt * fastest))))
+        stride = max(1, math.floor(min(steps // 2000, math.pi / order / (dt * fastest))))
     samples = count(t_max, dt, stride)
     if samples > MAX_SAMPLES:
         raise ValueError(f"{samples:.3g} samples exceed the limit of {MAX_SAMPLES}; "
                          f"raise {knobs}, or lower --tmax")
     gap = min(stride, steps) * dt  # the widest gap between samples
-    if gap * fastest > math.pi:
-        notes.append(f"warning: samples {gap:.3g} apart exceed pi/{fastest:.3g} = "
-                     f"{math.pi / fastest:.3g}, half a period of the fastest phase: the "
-                     f"columns and their events alias; lower {knobs}")
+    if gap * fastest > math.pi / order:  # order * fastest may overflow
+        notes.append(f"warning: samples {gap:.3g} apart exceed {math.pi / order / fastest:.3g}, "
+                     f"half a period of the fastest column: the columns and their events "
+                     f"alias; lower {knobs}")
     return t_max, dt, stride, tuple(notes)
 
 
@@ -392,12 +400,20 @@ def _plan(args: argparse.Namespace) -> _Run:
                          f"{config.mode_spacing:.3g}, below the exact engine's limit of "
                          f"{MIN_EXACT_SPACING:g}; raise --omega-a or lower --length-ratio")
     grid = build_mode_grid(config)
+    # the spectrum's check and the RK4 stability limit take differences of
+    # eigenvalues
+    if 2.0 * grid.frequency_bound == math.inf:
+        raise ValueError(f"--omega-a {config.omega_a:g}, --length-ratio "
+                         f"{config.length_ratio:g} and --modes {config.n_modes} give "
+                         f"frequencies up to {grid.frequency_bound:.3g}, whose differences "
+                         f"float64 cannot hold; lower --omega-a or --modes, or raise "
+                         f"--length-ratio")
     # the default window: two Rabi cycles of the resonant mode for one mode
     window = ((2, 2.0 * math.pi) if config.n_modes == 1
               else (ROUND_TRIPS, retardation_time(config)))
     t_max, dt, stride, notes = _budget(
         args, *window, default_step(grid, double=scenario == "double"),
-        grid.frequency_bound, sample_count, args.stride,
+        grid.frequency_bound, 4 if scenario == "double" else 2, sample_count, args.stride,
         "--stride or --dt", MAX_RK4_STEPS if engine == "rk4" else math.inf)
     return _Run(args, scenario, config, grid, t_max, dt, stride, engine, notes)
 
@@ -410,7 +426,7 @@ def _plan_kernel(args: argparse.Namespace) -> _Run:
     grid = build_mode_grid(config)
     t_r = retardation_time(config)
     t_max, dt, stride, notes = _budget(
-        args, KERNEL_ROUND_TRIPS, t_r, t_r / 400.0, grid.max_detuning,
+        args, KERNEL_ROUND_TRIPS, t_r, t_r / 400.0, grid.max_detuning, 1,
         lambda tau_max, dtau, stride: tau_count(tau_max, dtau), 1, "--dt")
     return _Run(args, "kernel", config, grid, t_max, dt, stride, "exact", notes)
 

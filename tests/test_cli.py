@@ -12,8 +12,8 @@ import pytest
 import djcsim
 from djcsim import (IntegrationError, SystemConfig, build_mode_grid, default_step,
                     first_kernel_echo, memory_kernel, retardation_time, run_double)
-from djcsim.cli import _format_time, main, parse_number
-from djcsim.evolve import Trajectory, step_count
+from djcsim.cli import _build_parser, _format_time, _plan, main, parse_number
+from djcsim.evolve import Trajectory, sample_count, step_count
 from djcsim.revivals import detect_revivals, tau_count
 from make_reference import readme_commands, readme_snippet
 
@@ -551,12 +551,17 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     (["double", "--modes", "3", "--stride", "-2"], ["stride"]),
     (["sweep", "--axis", "theta", "--values", "0.3", "--modes", "3", "--stride", "0"],
      ["stride"]),
-    # a default stride keeps two samples per period of the fastest phase,
-    # which takes 2.9e9 and 2.9e17 rows over these windows
-    *[(["double", *argv], ["e+09 samples" if "1e-4" in argv else "e+17 samples", "1000000",
+    # a default stride keeps two samples per period of the fastest column,
+    # which takes 1.2e10 and 1.2e18 rows over these windows
+    *[(["double", *argv], ["e+10 samples" if "1e-4" in argv else "e+18 samples", "1000000",
                            "--stride", "--tmax"])
       for argv in (["--modes", "99", "--omega-a", "1e-4", "--length-ratio", "3480"],
                    ["--modes", "3", "--tmax", "1e17"])],
+    # frequencies up to 9.5e307, whose differences overflow: the spectrum
+    # once failed its check (exit 3) and RK4 its stability limit after planning
+    *[([*command, "--modes", "7", "--omega-a", "1e308", "--length-ratio", "3.1622776601683795",
+        "--profile", "uniform"], ["--omega-a", "--length-ratio", "--modes"])
+      for command in (["single"], ["double"], ["sweep", "--axis", "theta", "--values", "0.5"])],
 ])
 def test_work_limits_exit_2_before_writing(tmp_path, capsys, argv, named):
     assert main(argv + ["--out", str(tmp_path / "big.csv")]) == 2
@@ -645,6 +650,10 @@ def test_wide_spacing_runs_or_exits_2(tmp_path, capsys, omega_a, profile, comman
     # least; its shortened default window takes 2.9e11 steps of the default dt
     ["double", "--modes", "3", "--omega-a", "2e-150", "--length-ratio", "2",
      "--stride", "100000000"],
+    # the trajectory runs refuse this grid (see above); the kernel trace,
+    # linear in its phases, takes no frequency differences
+    ["kernel", "--modes", "7", "--omega-a", "1e308", "--length-ratio", "3.1622776601683795",
+     "--profile", "uniform"],
 ])
 def test_extreme_grids_run_with_finite_cells(tmp_path, argv):
     out = tmp_path / "run.csv"
@@ -1043,18 +1052,39 @@ def test_trajectory_runs_warn_when_samples_alias(tmp_path, capsys):
 
 def test_default_stride_keeps_two_samples_per_period(tmp_path, capsys):
     # steps // 2000 = 173 would space the samples by 0.55 against the vacuum
-    # Rabi period 0.31; the default stride stops at pi / (dt (max|delta| + G))
+    # Rabi period 0.31 of p11, and p2 = p3 swing twice as fast.  A double
+    # run's columns are quartic in the atom amplitude, whose frequencies
+    # reach f = max|delta| + G, so the default stride stops at pi / (4 f dt)
+    argv = ["double", "--modes", "99", "--omega-a", "100", "--length-ratio", "3480"]
     out = tmp_path / "run.csv"
-    assert main(["double", "--modes", "99", "--omega-a", "100", "--length-ratio", "3480",
-                 "--out", str(out)]) == 0
+    assert main(argv + ["--out", str(out)]) == 0
     assert "alias" not in capsys.readouterr().out
     grid = build_mode_grid(SystemConfig(omega_a=100.0, length_ratio=3480.0, n_modes=99))
-    fastest = grid.max_detuning + grid.collective_coupling
     dt = default_step(grid, double=True)
-    stride = math.floor(math.pi / (dt * fastest))
+    stride = math.floor(math.pi / (4 * grid.frequency_bound * dt))
     _, cols = read_csv(out)
-    assert len(cols["t"]) == 3981
-    assert cols["t"][1] == stride * dt and stride * dt * fastest <= math.pi
+    assert (stride, len(cols["t"])) == (21, 16490)
+    assert cols["t"][1] == stride * dt
+    # the dominant period of each column, from every step of a short window
+    fine = tmp_path / "fine.csv"
+    assert main(argv + ["--tmax", "20", "--stride", "1", "--out", str(fine)]) == 0
+    _, steps = read_csv(fine)
+    for name in ("p11", "p2"):
+        column = steps[name][:-1]  # the uniform steps
+        spectrum = np.abs(np.fft.rfft(column - column.mean()))
+        frequency = 2 * math.pi * np.fft.rfftfreq(len(column), dt)[np.argmax(spectrum)]
+        assert stride * dt < 0.5 * 2 * math.pi / frequency, name
+    # single runs' columns are quadratic: pi / (2 f dt); planned, not run
+    parser, _ = _build_parser()
+    for command, n, length_ratio, omega_a, planned in [
+            ("double", 99, 3480.0, 100.0, (21, 16490)),
+            ("double", 1999, 3480.0, 4840.0, (24, 41627)),
+            ("single", 99, 3480.0, 100.0, (21, 8246))]:
+        run = _plan(parser.parse_args([command, "--modes", str(n), "--length-ratio",
+                                       repr(length_ratio), "--omega-a", repr(omega_a)]))
+        order = 4 if command == "double" else 2
+        assert run.stride == math.floor(math.pi / (order * run.grid.frequency_bound * run.dt))
+        assert (run.stride, sample_count(run.t_max, run.dt, run.stride)) == planned
 
 
 def test_kernel_over_the_sample_limit_evaluates_no_kernel(tmp_path, monkeypatch, capsys):

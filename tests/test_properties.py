@@ -212,7 +212,7 @@ def check_run(argv, runs=1):
     its ``runs`` CSVs, every cell finite, a default window prints no phase
     warning (it stops where float64 rounds the phases by the tolerance),
     and a default stride and step print no aliasing warning (the stride
-    keeps two samples per period of the fastest phase)."""
+    keeps two samples per period of the fastest column)."""
     code, stdout, files = run_in_folder(argv)
     assert code in (0, 2)
     if code == 2:
@@ -248,6 +248,9 @@ SPREAD_ARGVS = [
 @example(SPREAD_ARGVS[4])
 # omega_a + max|delta| above the largest double
 @example(["double", "--modes", "3", "--omega-a", "1.7e308", "--length-ratio", "3"])
+# frequency differences above the largest double: once exit 3, now exit 2
+@example(["double", "--modes", "7", "--omega-a", "1e308", "--length-ratio",
+          "3.1622776601683795", "--profile", "uniform"])
 # a mode spacing of exactly the exact engine's least, 1e-150
 @example(["double", "--modes", "3", "--omega-a", "2e-150", "--length-ratio", "2"])
 def test_exact_runs_write_finite_cells_or_exit_2(argv):
