@@ -400,8 +400,8 @@ def _plan(args: argparse.Namespace) -> _Run:
                          f"{config.mode_spacing:.3g}, below the exact engine's limit of "
                          f"{MIN_EXACT_SPACING:g}; raise --omega-a or lower --length-ratio")
     grid = build_mode_grid(config)
-    # the spectrum's check and the RK4 stability limit take differences of
-    # eigenvalues
+    # the spectrum's check takes differences of eigenvalues, up to 2 f, and
+    # the RK4 stability limit divides by 2 f
     if 2.0 * grid.frequency_bound == math.inf:
         raise ValueError(f"--omega-a {config.omega_a:g}, --length-ratio "
                          f"{config.length_ratio:g} and --modes {config.n_modes} give "
@@ -411,9 +411,11 @@ def _plan(args: argparse.Namespace) -> _Run:
     # the default window: two Rabi cycles of the resonant mode for one mode
     window = ((2, 2.0 * math.pi) if config.n_modes == 1
               else (ROUND_TRIPS, retardation_time(config)))
+    # the columns' degree in the phases (see the module docstring)
+    order = 4 if scenario == "double" else 2
     t_max, dt, stride, notes = _budget(
         args, *window, default_step(grid, double=scenario == "double"),
-        grid.frequency_bound, 4 if scenario == "double" else 2, sample_count, args.stride,
+        grid.frequency_bound, order, sample_count, args.stride,
         "--stride or --dt", MAX_RK4_STEPS if engine == "rk4" else math.inf)
     return _Run(args, scenario, config, grid, t_max, dt, stride, engine, notes)
 

@@ -80,20 +80,17 @@ def tolerance(name: str) -> float:
     return 1e-6 if rk4 else 1e-12
 
 
-def _cell(text: str):
-    """A CSV cell as a float when finite, else as its text."""
-    value = float(text) if text else math.nan
-    return value if math.isfinite(value) else text
-
-
 def _column(cells: List[str]) -> dict:
+    """One column's record; a nonfinite or empty cell is kept as its text
+    and left out of the statistics."""
     values = np.array([float(c) if c else math.nan for c in cells])
     finite = values[np.isfinite(values)]
     rows = np.unique(np.linspace(0, len(cells) - 1, SAMPLED_ROWS).round().astype(int))
     stats = ({"min": float(finite.min()), "max": float(finite.max()),
               "sum": float(finite.sum())} if finite.size
              else {"min": None, "max": None, "sum": None})
-    return {"rows": len(cells), "values": [_cell(cells[i]) for i in rows], **stats}
+    sampled = [float(values[i]) if math.isfinite(values[i]) else cells[i] for i in rows]
+    return {"rows": len(cells), "values": sampled, **stats}
 
 
 def run(name: str, workdir: str) -> Tuple[dict, Dict[str, str]]:
