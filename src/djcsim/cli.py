@@ -26,7 +26,8 @@ amplitudes, the products of two; m = 1 for the kernel trace, linear in its
 phases.  A default window and stride keep both rules; an explicit --tmax,
 --stride or --dt that breaks one prints a warning line after the scenario
 line.  A trajectory whose frequency differences, up to 2 f, float64 cannot
-hold exits 2.
+hold exits 2, and so does any run whose phase differences, up to 2 f t,
+overflow over its window.
 Parameters can also be supplied as key=value lines in a file passed with
 --config; keys are the flag names with underscores, values are checked
 exactly like flags, and command-line flags win over file values.  The
@@ -344,6 +345,9 @@ def _budget(args: argparse.Namespace, periods: int, period: float, dt: float,
                          f"overflows; raise --omega-a, lower --length-ratio or pass --tmax")
     if not 0 < t_max < math.inf:
         raise ValueError(f"tmax must be positive and finite, got {t_max!r}")
+    if 2.0 * (fastest * t_max) == math.inf:  # 2 f alone may overflow (kernel)
+        raise ValueError(f"phase differences up to 2 x {fastest:.3g} x t={t_max:.3g} "
+                         f"overflow float64; lower --tmax")
     dt = dt if args.dt is None else args.dt
     check_window(t_max, dt, 1 if stride is None else stride)
     notes = []

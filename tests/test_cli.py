@@ -562,6 +562,10 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     *[([*command, "--modes", "7", "--omega-a", "1e308", "--length-ratio", "3.1622776601683795",
         "--profile", "uniform"], ["--omega-a", "--length-ratio", "--modes"])
       for command in (["single"], ["double"], ["sweep", "--axis", "theta", "--values", "0.5"])],
+    # phases lam t past the float range: the exact engine once exited 3
+    *[([*command, "--modes", "3", "--omega-a", "100", "--length-ratio", "10", "--dt", "3.4e305",
+        "--tmax", "1.7e308"], ["phase differences", "overflow", "--tmax"])
+      for command in (["double"], ["kernel"], ["sweep", "--axis", "theta", "--values", "0.5"])],
 ])
 def test_work_limits_exit_2_before_writing(tmp_path, capsys, argv, named):
     assert main(argv + ["--out", str(tmp_path / "big.csv")]) == 2
@@ -891,8 +895,9 @@ def test_config_file_values_are_checked_like_flags(tmp_path, capsys, command, ke
 
 
 # perfbench/worker.py (Tracer.install) patches these names to time each
-# layer.  The default test run does not collect perfbench/selftest.py, so
-# this is what notices a rename or a removal.
+# layer.  tests/test_benchmark_selftest.py runs perfbench/selftest.py, whose
+# traced runs also fail on a rename or a removal; this test names the one
+# that is missing.
 @pytest.mark.parametrize("module,name", [
     ("cli", "build_mode_grid"), ("cli", "run_single"), ("cli", "run_double"),
     ("cli", "detect_revivals"), ("evolve", "integrate"),
@@ -934,22 +939,6 @@ def test_readme_library_snippet_runs(capsys):
 def test_readme_lists_its_commands():
     block, table = readme_commands()
     assert len(block) >= 5 and len(table) >= 7
-
-
-@pytest.mark.parametrize("command", [c for part in readme_commands() for c in part])
-def test_readme_command_runs(tmp_path, command):
-    # a short window keeps each run quick; every output goes under tmp_path
-    argv = shlex.split(command)[1:]
-    if "--out" in argv:
-        at = argv.index("--out") + 1
-        argv[at] = str(tmp_path / argv[at])
-    else:
-        argv += ["--out", str(tmp_path / "run.csv")]
-    try:
-        code = main(argv + ["--tmax", "1.0"])
-    except SystemExit as exc:  # argparse rejected the command line
-        pytest.fail(f"argparse exited {exc.code}")
-    assert code == 0
 
 
 @pytest.mark.parametrize("argv,warns", [

@@ -3,8 +3,8 @@ of the RK4 reference stack on small, slow grids, and of the revival
 detector against a sample-by-sample loop and numpy's median, of the CSV
 writer: its bytes against Python's %.17g, and its read-back, and of the
 exact engine's, RK4's and the kernel trace's runs through ``cli.main``
-over the whole admitted space: sweeps along every axis, drawn strides, and
-``--config`` files against the flags they carry."""
+over the whole admitted space: sweeps along every axis, drawn strides and
+steps, and ``--config`` files against the flags they carry."""
 
 import contextlib
 import io
@@ -27,6 +27,7 @@ from djcsim import (
     init_fields_entangled,
     run_double,
     run_single,
+    stability_limit,
 )
 from djcsim.cli import _CSV_BLOCK, _write_csv, main
 from djcsim.csvcells import SPEC, format_rows
@@ -208,11 +209,12 @@ def run_in_folder(argv):
 
 
 def check_run(argv, runs=1):
-    """``main(argv)`` exits 0 or 2.  On 2 it writes nothing; on 0 it writes
-    its ``runs`` CSVs, every cell finite, a default window prints no phase
-    warning (it stops where float64 rounds the phases by the tolerance),
-    and a default stride and step print no aliasing warning (the stride
-    keeps two samples per period of the fastest column)."""
+    """``main(argv)`` exits 0 or 2, and check_run returns that code.  On 2
+    it writes nothing; on 0 it writes its ``runs`` CSVs, every cell finite,
+    a default window prints no phase warning (it stops where float64 rounds
+    the phases by the tolerance), and a default stride and step print no
+    aliasing warning (the stride keeps two samples per period of the
+    fastest column)."""
     code, stdout, files = run_in_folder(argv)
     assert code in (0, 2)
     if code == 2:
@@ -227,6 +229,7 @@ def check_run(argv, runs=1):
         assert "phases round" not in stdout
     if "--stride" not in argv and "--dt" not in argv:
         assert "alias" not in stdout
+    return code
 
 
 # the grids the CLI refused for max|delta| / min g above 1e150
@@ -270,16 +273,23 @@ def test_kernel_runs_write_finite_cells_or_exit_2(argv):
 
 
 @st.composite
-def single_argvs(draw):
+def single_grid_argvs(draw):
     """A single (RK4) run over the float64 range of omega_a and L/lambda_a,
-    odd n <= 21, whose --tmax is a drawn multiple, at most 500, of the
-    grid's default step: no example steps more than 501 times.  A grid that
-    SystemConfig refuses keeps the default window; the CLI exits 2 on it."""
-    argv = ["single", "--modes", str(2 * draw(st.integers(0, 10)) + 1),
+    odd n <= 21, at its default window and step."""
+    return ["single", "--modes", str(2 * draw(st.integers(0, 10)) + 1),
             "--omega-a", draw(log_uniform), "--length-ratio", draw(log_uniform),
             "--theta", repr(draw(thetas)), "--profile", draw(profiles),
             "--initial", draw(st.sampled_from(("atoms", "fields"))),
             "--angle-convention", draw(st.sampled_from(("printed", "swapped")))]
+
+
+@st.composite
+def single_argvs(draw):
+    """A ``single_grid_argvs`` run whose --tmax is a drawn multiple, at most
+    500, of the grid's default step: no example steps more than 501 times.
+    A grid that SystemConfig refuses keeps the default window; the CLI exits
+    2 on it."""
+    argv = draw(single_grid_argvs())
     multiple = draw(step_multiples)
     grid = argv_grid(argv)
     if grid is None:
@@ -291,6 +301,42 @@ def single_argvs(draw):
 @given(single_argvs())
 def test_rk4_runs_write_finite_cells_or_exit_2(argv):
     check_run(argv)
+
+
+@st.composite
+def explicit_step_argvs(draw):
+    """A run with an explicit --dt and a --tmax of at most 500 of its steps:
+    a single run at 0.05 to 2 times its grid's RK4 stability limit, or a
+    double run or theta sweep point at any positive spacing.  A grid that
+    SystemConfig refuses keeps the default window and step."""
+    argv = draw(exact_argvs() | single_grid_argvs())
+    grid = argv_grid(argv)
+    if grid is None:
+        return argv
+    if argv[0] == "single":
+        dt = draw(st.floats(0.05, 2.0)) * stability_limit(grid)
+    else:
+        dt = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+    return argv + ["--dt", repr(dt), "--tmax", repr(draw(step_multiples) * dt)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(explicit_step_argvs())
+# phases lam t past the float range: once exit 3
+@example(["double", "--modes", "3", "--omega-a", "100", "--length-ratio", "10",
+          "--dt", "3.4e305", "--tmax", "1.7e308"])
+def test_runs_with_explicit_steps_write_finite_cells_or_exit_2(argv):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = check_run(argv)
+    grid = argv_grid(argv)
+    if argv[0] == "single" and grid is not None:
+        dt, t_max = (float(argv[argv.index(flag) + 1]) for flag in ("--dt", "--tmax"))
+        # a grid whose frequency differences overflow, or an empty window,
+        # is refused before the step is checked
+        if dt > stability_limit(grid) and 2.0 * grid.frequency_bound < math.inf and t_max > 0.0:
+            assert code == 2
+            assert "stability limit" in stderr.getvalue()
 
 
 @st.composite
