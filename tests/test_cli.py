@@ -941,6 +941,22 @@ def test_readme_lists_its_commands():
     assert len(block) >= 5 and len(table) >= 7
 
 
+@pytest.mark.parametrize("command", [c for part in readme_commands() for c in part])
+def test_readme_command_runs(tmp_path, command):
+    # a short window keeps each run quick; every output goes under tmp_path
+    argv = shlex.split(command)[1:]
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+    else:
+        argv += ["--out", str(tmp_path / "run.csv")]
+    try:
+        code = main(argv + ["--tmax", "1.0"])
+    except SystemExit as exc:  # argparse rejected the command line
+        pytest.fail(f"argparse exited {exc.code}")
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv,warns", [
     # strides that keep about 2300 rows of the 2.3e19 and 2.3e11 steps
     pytest.param(["double", "--modes", "3", "--tmax", "1e17", "--stride", "10000000000000000"],
