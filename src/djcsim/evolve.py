@@ -52,10 +52,10 @@ _RK4_IMAG_STABILITY = 2.0 * math.sqrt(2.0)
 #: Hard cap on the matrix-exponential oracle dimension.
 _EXPM_MAX_DIM = 200
 
-#: Times the exact engine and the memory kernel evaluate per block, which
-#: bounds their (block x modes) phase matrices.
+#: Samples the exact engine evaluates per block, which bounds its
+#: (block x modes) phase table.
 TIME_BLOCK = 128
-#: Blocks of samples the exact engine sums in one call.
+#: Starts ``phase_sums`` sums in one call.
 _BLOCK_GROUP = 16
 
 #: Largest eigen residual and orthogonality error the exact engine accepts.
@@ -468,8 +468,9 @@ def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
     is the residual that tests lam.  The orthogonality check uses
     v_i . v_j = a_i a_j (1 + (S(lam_j) - S(lam_i)) / (lam_i - lam_j)).
     Each row g_k / (lam_j - delta_k) is divided by a power of two above its
-    largest entry before a_j and the overlap are formed from it: exact, and
-    free of the overflow of its squares on wide combs.  Both checks cost
+    largest entry, by scaling the row's gaps before dividing, and a_j and the
+    overlap are formed from it: exact, and free of the overflow of its
+    entries and their squares on wide combs.  Both checks cost
     O(n^2) time; the peak memory is about three (n+1) x n float64 arrays.
     """
     delta = grid.detunings
@@ -485,11 +486,14 @@ def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
         photon = np.subtract(delta, pole[:, None])
         np.subtract(tau[:, None], photon, out=photon)
         secular = np.sum(g2 / photon, axis=1)
+        # row j over 2^e_j > max_k |g_k / gap_jk|, with scale = 2^-e_j, bounded
+        # from the exponents: g / gap itself overflows where max|delta| / g
+        # does.  A gap that overflows once scaled gives 0 for an entry below
+        # 2^-1023.
+        e = np.maximum(np.max(np.frexp(g)[1] - np.frexp(photon)[1], axis=1) + 1, 0)
+        np.ldexp(photon, e[:, None], out=photon)
         np.divide(g, photon, out=photon)
-        # row j over 2^e_j > max_k |photon[j, k]|, with scale = 2^-e_j
-        _, e = np.frexp(np.maximum(photon.max(axis=1), -photon.min(axis=1)))
-        scale = np.ldexp(1.0, -np.maximum(e, 0))
-        photon *= scale[:, None]
+        scale = np.ldexp(1.0, -e)
         norm2 = scale * scale + np.sum(photon * photon, axis=1)
         unit = 1.0 / np.sqrt(norm2)
         atom = scale * unit
@@ -507,6 +511,26 @@ def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
                         orthogonality=float(np.max(np.abs(overlap))), sweeps=sweeps)
 
 
+def phase_sums(frequencies, weights, starts, offsets, out):
+    """Write sum_j weights[..., j] exp(-i f_j (s + o)) into
+    ``out[..., a, b]`` for every start s = starts[a] and offset o = offsets[b]
+    (f = frequencies), and return ``out``.
+
+    ``out`` has the shape ``weights.shape[:-1] + (len(starts), len(offsets))``.
+    The offsets' phases are one table exp(+i f o), and each start shifts the
+    weights by exp(-i f s), ``_BLOCK_GROUP`` starts at a time.  The sums
+    are one ``np.vecdot`` per group, which conjugates its first argument,
+    the table.  vecdot runs on the calling thread; a BLAS product of this
+    size starts OpenBLAS's threads, which stall on a busy machine.
+    """
+    table = np.exp(1j * np.outer(offsets, frequencies))
+    for lo in range(0, len(starts), _BLOCK_GROUP):
+        # (..., group, 1, modes) weights against the (offsets, modes) table
+        shift = np.exp(-1j * np.outer(starts[lo:lo + _BLOCK_GROUP], frequencies))[:, None, :]
+        np.vecdot(table, weights[..., None, None, :] * shift, out=out[..., lo:lo + len(shift), :])
+    return out
+
+
 def _exact_atoms(grid: ModeGrid, blocks, t_max: float, dt: float, sample_stride: int):
     """Atom amplitudes of cavity blocks started at (atom0, photons0), sampled
     at ``sample_times(t_max, dt, sample_stride)``.
@@ -514,15 +538,12 @@ def _exact_atoms(grid: ModeGrid, blocks, t_max: float, dt: float, sample_stride:
     Each amplitude is u(t) = sum_j exp(-i lam_j t) w_j, the atom row of
     D V exp(-i Lambda t) V^T D^H applied to the start, where D^H gives the
     photons the factor i.  Every sample but the last lies on the uniform
-    grid k * stride * dt, so the phases come from one table
-    exp(-i lam_j k stride dt), k < ``TIME_BLOCK``, built once per run: the
-    block of samples starting at t_b is the table applied to the weights
-    exp(-i lam_j t_b) w_j.  The last sample, t_max, is evaluated directly.
-    The sums are one ``np.vecdot`` per ``_BLOCK_GROUP`` blocks, which
-    conjugates its first argument, so the table holds exp(+i lam_j t).
-    vecdot runs on the calling thread; a BLAS product of this size starts
-    OpenBLAS's threads, which stall on a busy machine.  Returns the sample
-    times, the amplitudes (one row per block) and the engine description.
+    grid k * stride * dt, so ``phase_sums`` evaluates them in blocks of
+    ``TIME_BLOCK``: each block's first time is a start and the first
+    block's times are the offsets.  The last block is summed whole and cut.
+    The last sample, t_max, is the start 0 with the single offset t_max.
+    Returns the sample times, the amplitudes (one row per block) and the
+    engine description.
     """
     times = sample_times(t_max, dt, sample_stride)
     spectrum = comb_spectrum(grid)
@@ -536,21 +557,17 @@ def _exact_atoms(grid: ModeGrid, blocks, t_max: float, dt: float, sample_stride:
         spectrum.atom * (spectrum.atom * atom0
                          + 1j * np.einsum("jk,k->j", spectrum.photon, photons0))
         for atom0, photons0 in blocks])
-    out = np.empty((len(weights), len(times)), dtype=complex)
     on_grid = len(times) - 1
     # times[k] = k * stride * dt for k < on_grid, bit for bit
-    table = np.exp(1j * np.outer(times[:min(on_grid, TIME_BLOCK)], lam))
-    full = on_grid - on_grid % TIME_BLOCK
-    for lo in range(0, full, _BLOCK_GROUP * TIME_BLOCK):
-        starts = times[lo:min(lo + _BLOCK_GROUP * TIME_BLOCK, full):TIME_BLOCK]
-        span = out[:, lo:lo + len(starts) * TIME_BLOCK]
-        # (blocks, group, 1, modes) weights against the (TIME_BLOCK, modes) table
-        shifted = weights[:, None, None, :] * np.exp(-1j * np.outer(starts, lam))[:, None, :]
-        np.vecdot(table, shifted, out=span.reshape(len(weights), len(starts), TIME_BLOCK))
-    if full < on_grid:
-        np.vecdot(table[:on_grid - full], weights[:, None, :] * np.exp(-1j * times[full] * lam),
-                  out=out[:, full:on_grid])
-    out[:, -1] = np.vecdot(np.exp(1j * times[-1] * lam), weights)
+    offsets = times[:min(on_grid, TIME_BLOCK)]
+    starts = times[:on_grid:TIME_BLOCK]
+    # whole blocks and one column more: t_max goes at column on_grid, and the
+    # cut drops the rest
+    out = np.empty((len(weights), len(starts) * len(offsets) + 1), dtype=complex)
+    phase_sums(lam, weights, starts, offsets,
+               out[:, :-1].reshape(len(weights), len(starts), len(offsets)))
+    phase_sums(lam, weights, [0.0], times[-1:], out[:, on_grid, None, None])
+    out = out[:, :len(times)]
     # The propagator is the identity at t = 0: sample the start itself, as
     # integrate does, rather than V V^T applied to it.
     out[:, times == 0.0] = np.array([[atom0] for atom0, _ in blocks])

@@ -66,9 +66,9 @@ class SystemConfig:
                 f"coupling_profile must be one of {COUPLING_PROFILES}, "
                 f"got {self.coupling_profile!r}"
             )
-        # retardation_time is 2 pi / spacing: a spacing below about 3.5e-308
-        # (0 and the subnormals included) leaves no finite round trip
-        if not (self.mode_spacing > 0.0 and 2.0 * math.pi / self.mode_spacing < math.inf):
+        # a spacing below about 3.5e-308 (0 and the subnormals included)
+        # leaves no finite round trip
+        if not (self.mode_spacing > 0.0 and _round_trip(self.mode_spacing) < math.inf):
             raise ValueError(
                 f"omega_a={self.omega_a!r} and length_ratio={self.length_ratio!r} give a "
                 f"mode spacing of {self.mode_spacing!r}, too small for a finite round trip")
@@ -163,4 +163,9 @@ def retardation_time(config: SystemConfig) -> float:
     single-mode cavity the value is still defined but the dynamics is
     Rabi-periodic instead of echo-like.
     """
-    return 2.0 * math.pi / config.mode_spacing
+    return _round_trip(config.mode_spacing)
+
+
+def _round_trip(spacing: float) -> float:
+    """2*pi / spacing, the time after which a comb of this spacing rephases."""
+    return 2.0 * math.pi / spacing

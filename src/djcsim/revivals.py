@@ -22,8 +22,8 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .evolve import TIME_BLOCK, Trajectory, check_window
-from .model import ModeGrid
+from .evolve import Trajectory, check_window, phase_sums
+from .model import ModeGrid, _round_trip
 
 #: Concurrence at or below this counts as dead (zero up to rounding).
 FLOOR = 1e-6
@@ -60,22 +60,14 @@ def memory_kernel(
     grid: ModeGrid, tau: Union[float, np.ndarray]
 ) -> Union[complex, np.ndarray]:
     """Mode-summed coupling correlation K(tau): a complex for a scalar tau,
-    else an array in the shape of tau.
-
-    The (modes x taus) phases are formed for at most ``TIME_BLOCK`` taus
-    at once and summed over the modes with ``np.vecdot``, as the exact
-    engine sums its phases: it runs on the calling thread, where a BLAS
-    product of this size starts OpenBLAS's threads.
+    else an array in the shape of tau.  ``phase_sums`` evaluates it with
+    each tau as a start and the single offset 0.
     """
     tau_arr = np.asarray(tau, dtype=float).ravel()
-    weights = grid.couplings[:, None] ** 2  # real, so vecdot's conjugation is moot
-    k = np.empty(len(tau_arr), dtype=complex)
-    for lo in range(0, len(tau_arr), TIME_BLOCK):
-        block = tau_arr[lo:lo + TIME_BLOCK]
-        np.vecdot(weights, np.exp(-1j * np.outer(grid.detunings, block)), axis=0,
-                  out=k[lo:lo + len(block)])
+    k = phase_sums(grid.detunings, grid.couplings ** 2, tau_arr, [0.0],
+                   np.empty((len(tau_arr), 1), dtype=complex))
     if np.ndim(tau) == 0:
-        return complex(k[0])
+        return complex(k[0, 0])
     return k.reshape(np.shape(tau))
 
 
@@ -93,7 +85,7 @@ def first_kernel_echo(grid: ModeGrid, dtau: float) -> float:
     local maximum reaching at least half of |K(0)|, which excludes the low
     side lobes of the mode comb.  Exact to within one tau sample.
     """
-    taus = np.arange(tau_count(KERNEL_ROUND_TRIPS * (2.0 * math.pi / grid.spacing), dtau)) * dtau
+    taus = np.arange(tau_count(KERNEL_ROUND_TRIPS * _round_trip(grid.spacing), dtau)) * dtau
     return first_rephasing_maximum(taus, np.abs(memory_kernel(grid, taus)))
 
 

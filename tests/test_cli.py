@@ -719,6 +719,32 @@ def test_sweep_points_step_no_rk4(tmp_path, monkeypatch, initial):
                  "--modes", "19", "--tmax", "2.0", "--out", str(tmp_path / "s.csv")]) == 0
 
 
+@pytest.mark.parametrize("argv,calls", [
+    (["double"], True),
+    (["sweep", "--axis", "theta", "--values", "pi/4", "--initial", "atoms"], True),
+    (["sweep", "--axis", "theta", "--values", "pi/4", "--initial", "fields"], True),
+    (["sweep", "--axis", "theta", "--values", "pi/4", "--initial", "double"], True),
+    (["kernel"], True),
+    (["single"], False),  # RK4 steps its amplitudes
+])
+def test_exact_traces_go_through_phase_sums(tmp_path, monkeypatch, argv, calls):
+    import djcsim.evolve as evolve
+    import djcsim.revivals as revivals
+
+    counted = []
+    phase_sums = evolve.phase_sums
+
+    def counter(*args):
+        counted.append(args)
+        return phase_sums(*args)
+
+    # revivals holds the name too
+    monkeypatch.setattr(evolve, "phase_sums", counter)
+    monkeypatch.setattr(revivals, "phase_sums", counter)
+    assert main(argv + ["--modes", "5", "--tmax", "1.0", "--out", str(tmp_path / "run.csv")]) == 0
+    assert bool(counted) == calls
+
+
 @pytest.mark.parametrize("initial", ["atoms", "fields"])
 def test_sweep_point_matches_the_single_run(tmp_path, initial):
     # same sample times bit for bit; the columns differ by RK4's error only

@@ -34,6 +34,7 @@ from djcsim.evolve import (
     comb_spectrum,
     generator_double,
     generator_single,
+    phase_sums,
     sample_count,
     sample_times,
     step_count,
@@ -635,6 +636,8 @@ def test_comb_spectrum_converges_in_few_sweeps(config):
     (3, 3.0, 1e20), (3, 3.0, 1e50), (3, 3.0, 1e150), (101, 3000.0, 1e149),
     # max|delta| / min g near 1e300, where the squared components overflowed
     (3, 3.0, 1e300), (2001, 1e4, 1e300),
+    # components max|delta| / min g near 2e308, which overflowed themselves
+    (11, 6.0, 1e308),
 ])
 def test_comb_spectrum_converges_in_few_sweeps_at_wide_spacing(n, length_ratio, omega_a):
     # Roots lie about g^2 / spacing from their poles, far nearer than the
@@ -725,6 +728,53 @@ def test_phase_table_matches_the_direct_sum(t_max, dt, stride, samples):
         w = spectrum.atom * (spectrum.atom * atom0 + 1j * (spectrum.photon @ photons0))
         assert np.max(np.abs(row - phases @ w)) <= 1e-12
         assert row[0] == atom0  # the start itself, not V V^T applied to it
+
+
+def test_exact_engine_memory_is_its_output(monkeypatch):
+    # 1e5 samples of n = 99: a phase array over the samples would be 158 MB
+    n = 99
+    grid = build_mode_grid(reference_config(n, 3480.0, "sqrtfreq"))
+    exp = np.exp
+    sizes = []
+
+    def spy(x):
+        sizes.append(np.size(x))
+        return exp(x)
+
+    monkeypatch.setattr(np, "exp", spy)
+    tracemalloc.start()
+    try:
+        times, atoms, _ = _exact_atoms(grid, [(1.0, np.zeros(n))], 99.9995, 0.001, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(times) == 100001
+    # the spectrum has n + 1 eigenvalues
+    assert sizes and max(sizes) <= TIME_BLOCK * (n + 1)
+    # the output, then the phase table as it is built (its real argument,
+    # the complex one and their exponential) beside one group of starts and
+    # the spectrum
+    assert peak <= times.nbytes + atoms.nbytes + 3 * TIME_BLOCK * (n + 1) * 16
+
+
+@pytest.mark.parametrize("n", [1, 5, 19])
+@pytest.mark.parametrize("profile", ["uniform", "sqrtfreq"])
+def test_phase_sums_match_the_oracle_between_samples(n, profile):
+    config = reference_config(n, 670.0, profile)
+    grid = build_mode_grid(config)
+    rng = np.random.default_rng(n)
+    state = random_single_state(n, rng)
+    # random times lie on no sample grid
+    times = rng.uniform(0.0, 3.0 * retardation_time(config), 20)
+    spectrum = comb_spectrum(grid)
+    weights = np.array([spectrum.atom * (spectrum.atom * atom0 + 1j * (spectrum.photon @ photons0))
+                        for atom0, photons0 in ((state.c1, state.ca), (state.c2, state.cb))])
+    atoms = phase_sums(spectrum.eigenvalues, weights, times, [0.0],
+                       np.empty((2, len(times), 1), dtype=complex))[..., 0]
+    for t, c1, c2 in zip(times, *atoms):
+        ref = expm_oracle(state, grid, t)
+        assert abs(c1 - ref.c1) <= 1e-12
+        assert abs(c2 - ref.c2) <= 1e-12
 
 
 def test_engines_agree_on_the_sample_grid():

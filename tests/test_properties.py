@@ -142,9 +142,35 @@ def test_comb_spectrum_checks_hold(grid):
     assert np.all(np.diff(spectrum.eigenvalues) > 0.0)
 
 
-# omega_a or L/lambda_a, log-uniform over the float64 range
-log_uniform = st.floats(-307.0, 308.0).map(
-    lambda e: repr(min(10.0 ** e, 1.7976931348623157e308)))
+@st.composite
+def length_ratios(draw, n, omega_a=1e308):
+    """L/lambda_a for n modes, log-uniform over the ratios SystemConfig admits
+    with omega_a, or in about one draw in ten a ratio it refuses: below 1,
+    or so short that the lowest mode frequency is not positive."""
+    half_span = (n - 1) // 2
+    # 1 rather than 0, which hypothesis draws more often than one in ten
+    if draw(st.integers(0, 9)) != 1:
+        # omega_a / L above about 1e-307 keeps the round trip 2 pi / spacing finite
+        top = max(0.0, min(308.0, math.log10(omega_a) + 306.0))
+        return repr(min(half_span + 10.0 ** draw(st.floats(0.0, top)), 1.7976931348623157e308))
+    if half_span < 2 or draw(st.booleans()):
+        return repr(10.0 ** draw(st.floats(-307.0, 0.0, exclude_max=True)))
+    return repr(draw(st.floats(1.0, half_span, exclude_max=True)))
+
+
+@st.composite
+def grid_flags(draw):
+    """--modes (odd, at most 21), --length-ratio and --omega-a over the
+    float64 range: a grid SystemConfig admits, or in about one draw in ten
+    one it refuses (see ``length_ratios``)."""
+    n = 2 * draw(st.integers(0, 10)) + 1
+    length_ratio = draw(length_ratios(n))
+    # omega_a above 1e-307 L, so that the spacing omega_a / L leaves a
+    # finite round trip
+    low = max(-307.0, math.log10(float(length_ratio)) - 307.0)
+    return ["--modes", str(n), "--omega-a", repr(10.0 ** draw(st.floats(low, 308.0))),
+            "--length-ratio", length_ratio]
+
 # a --tmax multiple of the default step: no window takes more than 501 steps
 step_multiples = st.integers(1, 500) | st.floats(0.0, 500.0, exclude_min=True)
 
@@ -163,14 +189,12 @@ def argv_grid(argv):
 
 @st.composite
 def exact_argvs(draw):
-    """A double run or a theta sweep point over the float64 range of omega_a
-    and L/lambda_a, at its default window: SystemConfig admits some, and
-    the CLI refuses others with exit 2."""
+    """A double run or a theta sweep point on a ``grid_flags`` grid, at its
+    default window: the CLI refuses some grids with exit 2."""
     initial = draw(st.sampled_from((None, "atoms", "fields", "double")))
     command = ["double"] if initial is None else [
         "sweep", "--axis", "theta", "--values", repr(draw(thetas)), "--initial", initial]
-    return [*command, "--modes", str(2 * draw(st.integers(0, 10)) + 1),
-            "--omega-a", draw(log_uniform), "--length-ratio", draw(log_uniform),
+    return [*command, *draw(grid_flags()),
             "--theta", repr(draw(thetas)), "--profile", draw(profiles),
             "--angle-convention", draw(st.sampled_from(("printed", "swapped")))]
 
@@ -188,11 +212,9 @@ def explicit_window_argvs(draw):
 
 @st.composite
 def kernel_argvs(draw):
-    """A kernel trace over the float64 range of omega_a and L/lambda_a, odd
-    n <= 21, at its default window of at most 1201 taus."""
-    return ["kernel", "--modes", str(2 * draw(st.integers(0, 10)) + 1),
-            "--omega-a", draw(log_uniform), "--length-ratio", draw(log_uniform),
-            "--profile", draw(profiles)]
+    """A kernel trace on a ``grid_flags`` grid, at its default window of at
+    most 1201 taus."""
+    return ["kernel", *draw(grid_flags()), "--profile", draw(profiles)]
 
 
 def run_in_folder(argv):
@@ -262,6 +284,10 @@ def test_exact_runs_write_finite_cells_or_exit_2(argv):
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(explicit_window_argvs())
+# eigenvector components g / (lam - delta) beyond the float range: once exit 3
+@example(["double", "--modes", "11", "--omega-a", "1e+308", "--length-ratio", "6.0",
+          "--theta", "0.0", "--profile", "sqrtfreq", "--angle-convention", "printed",
+          "--tmax", "7.5398223686155e-310"])
 def test_exact_runs_with_explicit_windows_write_finite_cells_or_exit_2(argv):
     check_run(argv)
 
@@ -274,10 +300,9 @@ def test_kernel_runs_write_finite_cells_or_exit_2(argv):
 
 @st.composite
 def single_grid_argvs(draw):
-    """A single (RK4) run over the float64 range of omega_a and L/lambda_a,
-    odd n <= 21, at its default window and step."""
-    return ["single", "--modes", str(2 * draw(st.integers(0, 10)) + 1),
-            "--omega-a", draw(log_uniform), "--length-ratio", draw(log_uniform),
+    """A single (RK4) run on a ``grid_flags`` grid, at its default window
+    and step."""
+    return ["single", *draw(grid_flags()),
             "--theta", repr(draw(thetas)), "--profile", draw(profiles),
             "--initial", draw(st.sampled_from(("atoms", "fields"))),
             "--angle-convention", draw(st.sampled_from(("printed", "swapped")))]
@@ -342,15 +367,16 @@ def test_runs_with_explicit_steps_write_finite_cells_or_exit_2(argv):
 @st.composite
 def axis_sweep_argvs(draw):
     """A sweep over one to three odd mode counts up to 21, or over one to
-    three L/lambda_a values over the float64 range, at default windows."""
+    three L/lambda_a values over the float64 range (``length_ratios`` of
+    the drawn n and omega_a), at default windows."""
     axis = draw(st.sampled_from(("n_modes", "length_ratio")))
+    grid = draw(grid_flags())
     value = (st.integers(0, 10).map(lambda k: str(2 * k + 1)) if axis == "n_modes"
-             else log_uniform)
+             else length_ratios(int(grid[1]), float(grid[3])))
     values = draw(st.lists(value, min_size=1, max_size=3))
     return ["sweep", "--axis", axis, "--values", ",".join(values),
             "--initial", draw(st.sampled_from(("atoms", "fields", "double"))),
-            "--modes", str(2 * draw(st.integers(0, 10)) + 1),
-            "--omega-a", draw(log_uniform), "--length-ratio", draw(log_uniform),
+            *grid,
             "--theta", repr(draw(thetas)), "--profile", draw(profiles),
             "--angle-convention", draw(st.sampled_from(("printed", "swapped")))]
 

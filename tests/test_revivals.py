@@ -83,15 +83,16 @@ def test_kernel_phases_are_formed_in_blocks(monkeypatch):
     taus = np.linspace(0.0, 10.0, 300)
     exp = np.exp
     reference = (grid.couplings ** 2) @ exp(-1j * np.outer(grid.detunings, taus))
-    shapes = []
+    sizes = []
 
     def spy(x):
-        shapes.append(x.shape)
+        sizes.append(np.size(x))
         return exp(x)
 
     monkeypatch.setattr(np, "exp", spy)
     values = memory_kernel(grid, taus)
-    assert [cols for _, cols in shapes] == [TIME_BLOCK, TIME_BLOCK, 300 - 2 * TIME_BLOCK]
+    # no phase array grows with the number of taus
+    assert sizes and max(sizes) <= TIME_BLOCK * grid.n
     assert np.max(np.abs(values - reference)) <= 1e-12
 
 
