@@ -55,6 +55,7 @@ import numpy as np
 
 from .csvcells import SPEC as _CSV_SPEC, format_rows
 from .evolve import (
+    _SPECTRUM_TOL,
     IntegrationError,
     Trajectory,
     check_window,
@@ -412,6 +413,14 @@ def _plan(args: argparse.Namespace) -> _Run:
                          f"frequencies up to {grid.frequency_bound:.3g}, whose differences "
                          f"float64 cannot hold; lower --omega-a or --modes, or raise "
                          f"--length-ratio")
+    # The secular solver holds each root as its offset from a pole, about
+    # g_k^2 / |delta_k|, to 2^-1074 at best: the eigenvector's atom row is
+    # then off by about 2^-1074 |delta_k| / g_k, which the check bounds.
+    if engine == "exact" and np.any(np.ldexp(np.abs(grid.detunings), -1074)
+                                    > _SPECTRUM_TOL * grid.couplings):
+        raise ValueError(f"--omega-a {config.omega_a!r}, --length-ratio {config.length_ratio!r} "
+                         f"and --modes {config.n_modes} put eigenvalues closer to their modes "
+                         f"than float64 resolves; lower --omega-a or raise --length-ratio")
     # the default window: two Rabi cycles of the resonant mode for one mode
     window = ((2, 2.0 * math.pi) if config.n_modes == 1
               else (ROUND_TRIPS, retardation_time(config)))

@@ -19,8 +19,9 @@ modes, so every amplitude the run drivers record follows from that single
 i, the real arrowhead [[0, g], [g, diag(delta)]], whose eigenpairs
 ``comb_spectrum`` takes from the secular equation, solved by steps of a
 rational model inside bisection brackets.  The exact engine
-evaluates the atom amplitudes from them at the sample times, with no step
-and no stepping error.  ``run_double`` always uses it; ``run_single`` takes
+holds the atom amplitudes as a ``PhaseSeries`` over them, which evaluates
+them at the sample times or at any others, with no step and no stepping
+error.  ``run_double`` always uses it; ``run_single`` takes
 ``engine="exact"`` or ``engine="rk4"``.
 
 A dense eigendecomposition propagator is provided as an independent
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,8 +56,9 @@ _EXPM_MAX_DIM = 200
 #: Samples the exact engine evaluates per block, which bounds its
 #: (block x modes) phase table.
 TIME_BLOCK = 128
-#: Starts ``phase_sums`` sums in one call.
-_BLOCK_GROUP = 16
+#: Sums one ``np.vecdot`` call of ``PhaseSeries`` forms: 16 starts of a
+#: block of offsets.
+_GROUP_SUMS = 2048
 
 #: Largest eigen residual and orthogonality error the exact engine accepts.
 _SPECTRUM_TOL = 1e-10
@@ -408,7 +410,10 @@ def _secular_roots(delta, g2, reach):
     and solves the model on the root's side of its pole, else takes the
     bracket's midpoint.  A root stops when |f| is at the rounding level
     8u (|lam| + sum_k |g_k^2 / (delta_k - lam)|), when its step does not
-    move it, or when its bracket holds no other float.
+    move it, or when its bracket holds no other float.  A subnormal offset
+    t sets the level by its own grain, 2^-1074 / |t| in place of 8u, once
+    that is coarser: otherwise the best float misses the level and the
+    root halves its bracket away from it.
     """
     n = len(delta)
     # two (n+1) x n buffers; a sweep uses one row per open root
@@ -439,7 +444,10 @@ def _secular_roots(delta, g2, reach):
         rest, slope, size = _pole_line(delta, g2, own, t, gaps[:rows], terms[:rows])
         pull = g2[own] / t  # minus the own pole's term
         f = rest - pull
-        noise = 8.0 * 2.0 ** -53 * (np.abs(delta[own] + t) + size + np.abs(pull))
+        # an offset below 2^-1024 holds the pull to only 2^-1074 / |t|
+        # relative, coarser than 8u
+        noise = (np.maximum(8.0 * 2.0 ** -53, 2.0 ** -1074 / np.abs(t))
+                 * (np.abs(delta[own] + t) + size + np.abs(pull)))
         low = lo[open_] = np.where(f < 0.0, t, lo[open_])
         high = hi[open_] = np.where(f > 0.0, t, hi[open_])
         below, above = _model_roots(slope, rest - slope * t, g2[own])
@@ -511,71 +519,114 @@ def comb_spectrum(grid: ModeGrid) -> CombSpectrum:
                         orthogonality=float(np.max(np.abs(overlap))), sweeps=sweeps)
 
 
-def phase_sums(frequencies, weights, starts, offsets, out):
-    """Write sum_j weights[..., j] exp(-i f_j (s + o)) into
-    ``out[..., a, b]`` for every start s = starts[a] and offset o = offsets[b]
-    (f = frequencies), and return ``out``.
+@dataclass(frozen=True)
+class PhaseSeries:
+    """The sums sum_j weights[..., j] exp(-i frequencies[j] t), one for each
+    leading index of ``weights``, as functions of the time t.
 
-    ``out`` has the shape ``weights.shape[:-1] + (len(starts), len(offsets))``.
-    The offsets' phases are one table exp(+i f o), and each start shifts the
-    weights by exp(-i f s), ``_BLOCK_GROUP`` starts at a time.  The sums
-    are one ``np.vecdot`` per group, which conjugates its first argument,
-    the table.  vecdot runs on the calling thread; a BLAS product of this
-    size starts OpenBLAS's threads, which stall on a busy machine.
+    ``at`` evaluates them at any times, ``sample`` at the times
+    ``sample_times`` returns.  Both go through one blocked sum, which
+    bounds its phase tables by ``TIME_BLOCK`` times the frequencies.
     """
-    table = np.exp(1j * np.outer(offsets, frequencies))
-    for lo in range(0, len(starts), _BLOCK_GROUP):
-        # (..., group, 1, modes) weights against the (offsets, modes) table
-        shift = np.exp(-1j * np.outer(starts[lo:lo + _BLOCK_GROUP], frequencies))[:, None, :]
-        np.vecdot(table, weights[..., None, None, :] * shift, out=out[..., lo:lo + len(shift), :])
-    return out
+
+    frequencies: np.ndarray
+    weights: np.ndarray
+
+    def at(self, times) -> np.ndarray:
+        """The sums at ``times`` of any shape, in the shape
+        ``weights.shape[:-1] + times.shape``: each time is a start with the
+        single offset 0."""
+        rows = self.weights.shape[:-1]
+        out = np.empty(rows + (np.size(times), 1), dtype=complex)
+        return self._sums(np.ravel(times), [0.0], out).reshape(rows + np.shape(times))
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        """The sums at ``times`` as ``sample_times`` returns them, in the
+        shape ``weights.shape[:-1] + times.shape``.
+
+        Every time but the last lies on the uniform grid k * step, so they
+        are summed in blocks of ``TIME_BLOCK``: each block's first time is
+        a start and the first block's times are the offsets.  The last
+        block is summed whole and cut.  The last time is the start 0 with
+        the single offset ``times[-1]``.  The output is the only array
+        that grows with the number of times.
+        """
+        rows = self.weights.shape[:-1]
+        on_grid = len(times) - 1
+        # times[k] = k * stride * dt for k < on_grid, bit for bit
+        offsets = times[:min(on_grid, TIME_BLOCK)]
+        starts = times[:on_grid:TIME_BLOCK]
+        # whole blocks and one column more: the last time goes at column
+        # on_grid, and the cut drops the rest
+        out = np.empty(rows + (len(starts) * len(offsets) + 1,), dtype=complex)
+        self._sums(starts, offsets, out[..., :-1].reshape(rows + (len(starts), len(offsets))))
+        self._sums([0.0], times[-1:], out[..., on_grid, None, None])
+        return out[..., :len(times)]
+
+    def _sums(self, starts, offsets, out):
+        """Write the sums at every time s + o into ``out[..., a, b]``, for
+        s = starts[a] and o = offsets[b], and return ``out``.
+
+        The offsets' phases are one table exp(+i f o), and each start
+        shifts the weights by exp(-i f s).  The sums are one ``np.vecdot``
+        per group of starts, which conjugates its first argument, the
+        table.  A group holds ``_GROUP_SUMS`` sums over the offsets, but at
+        most half a block of starts: on wide combs a larger group's shifted
+        weights outgrow the processor's caches.  vecdot runs on the calling
+        thread; a BLAS product of this size starts OpenBLAS's threads,
+        which stall on a busy machine.
+        """
+        table = np.exp(1j * np.outer(offsets, self.frequencies))
+        group = min(TIME_BLOCK // 2, _GROUP_SUMS // max(len(offsets), 1))
+        for lo in range(0, len(starts), group):
+            # (..., group, 1, modes) weights against the (offsets, modes) table
+            shift = np.exp(-1j * np.outer(starts[lo:lo + group], self.frequencies))[:, None, :]
+            np.vecdot(table, self.weights[..., None, None, :] * shift,
+                      out=out[..., lo:lo + len(shift), :])
+        return out
 
 
-def _exact_atoms(grid: ModeGrid, blocks, t_max: float, dt: float, sample_stride: int):
-    """Atom amplitudes of cavity blocks started at (atom0, photons0), sampled
-    at ``sample_times(t_max, dt, sample_stride)``.
+def exact_amplitudes(grid: ModeGrid, blocks) -> Tuple[PhaseSeries, str]:
+    """The atom amplitudes of cavity blocks started at (atom0, photons0), as
+    one ``PhaseSeries`` over the checked spectrum, and the engine line.
 
     Each amplitude is u(t) = sum_j exp(-i lam_j t) w_j, the atom row of
     D V exp(-i Lambda t) V^T D^H applied to the start, where D^H gives the
-    photons the factor i.  Every sample but the last lies on the uniform
-    grid k * stride * dt, so ``phase_sums`` evaluates them in blocks of
-    ``TIME_BLOCK``: each block's first time is a start and the first
-    block's times are the offsets.  The last block is summed whole and cut.
-    The last sample, t_max, is the start 0 with the single offset t_max.
-    Returns the sample times, the amplitudes (one row per block) and the
-    engine description.
+    photons the factor i.
+
+    Raises
+    ------
+    IntegrationError
+        If the spectrum fails its check.
     """
-    times = sample_times(t_max, dt, sample_stride)
     spectrum = comb_spectrum(grid)
     if not (spectrum.residual <= _SPECTRUM_TOL
             and spectrum.orthogonality <= _SPECTRUM_TOL):
         raise IntegrationError(f"exact engine spectrum failed its check: eigen residual "
                                f"{spectrum.residual:.3e}, orthogonality error "
                                f"{spectrum.orthogonality:.3e} (limit {_SPECTRUM_TOL:.0e})")
-    lam = spectrum.eigenvalues
     weights = np.array([
         spectrum.atom * (spectrum.atom * atom0
                          + 1j * np.einsum("jk,k->j", spectrum.photon, photons0))
         for atom0, photons0 in blocks])
-    on_grid = len(times) - 1
-    # times[k] = k * stride * dt for k < on_grid, bit for bit
-    offsets = times[:min(on_grid, TIME_BLOCK)]
-    starts = times[:on_grid:TIME_BLOCK]
-    # whole blocks and one column more: t_max goes at column on_grid, and the
-    # cut drops the rest
-    out = np.empty((len(weights), len(starts) * len(offsets) + 1), dtype=complex)
-    phase_sums(lam, weights, starts, offsets,
-               out[:, :-1].reshape(len(weights), len(starts), len(offsets)))
-    phase_sums(lam, weights, [0.0], times[-1:], out[:, on_grid, None, None])
-    out = out[:, :len(times)]
+    return PhaseSeries(spectrum.eigenvalues, weights), (
+        f"exact (eigen residual {spectrum.residual:.1e}, orthogonality error "
+        f"{spectrum.orthogonality:.1e}, {spectrum.sweeps} sweeps)")
+
+
+def _exact_atoms(grid: ModeGrid, blocks, t_max: float, dt: float, sample_stride: int):
+    """The ``exact_amplitudes`` of cavity blocks started at (atom0, photons0),
+    sampled at ``sample_times(t_max, dt, sample_stride)``: the sample times,
+    the amplitudes (one row per block) and the engine line."""
+    times = sample_times(t_max, dt, sample_stride)
+    series, description = exact_amplitudes(grid, blocks)
+    out = series.sample(times)
     # The propagator is the identity at t = 0: sample the start itself, as
     # integrate does, rather than V V^T applied to it.
     out[:, times == 0.0] = np.array([[atom0] for atom0, _ in blocks])
     if not np.all(np.isfinite(out)):
         raise IntegrationError("nonfinite amplitudes from the exact engine")
-    return times, out, (f"exact (eigen residual {spectrum.residual:.1e}, "
-                        f"orthogonality error {spectrum.orthogonality:.1e}, "
-                        f"{spectrum.sweeps} sweeps)")
+    return times, out, description
 
 
 def run_single(

@@ -22,7 +22,7 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .evolve import Trajectory, check_window, phase_sums
+from .evolve import PhaseSeries, Trajectory, check_window
 from .model import ModeGrid, _round_trip
 
 #: Concurrence at or below this counts as dead (zero up to rounding).
@@ -60,15 +60,9 @@ def memory_kernel(
     grid: ModeGrid, tau: Union[float, np.ndarray]
 ) -> Union[complex, np.ndarray]:
     """Mode-summed coupling correlation K(tau): a complex for a scalar tau,
-    else an array in the shape of tau.  ``phase_sums`` evaluates it with
-    each tau as a start and the single offset 0.
-    """
-    tau_arr = np.asarray(tau, dtype=float).ravel()
-    k = phase_sums(grid.detunings, grid.couplings ** 2, tau_arr, [0.0],
-                   np.empty((len(tau_arr), 1), dtype=complex))
-    if np.ndim(tau) == 0:
-        return complex(k[0, 0])
-    return k.reshape(np.shape(tau))
+    else an array in the shape of tau."""
+    k = PhaseSeries(grid.detunings, grid.couplings ** 2).at(tau)
+    return complex(k) if np.ndim(tau) == 0 else k
 
 
 def tau_count(tau_max: float, dtau: float) -> int:

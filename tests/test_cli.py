@@ -562,6 +562,11 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     *[([*command, "--modes", "7", "--omega-a", "1e308", "--length-ratio", "3.1622776601683795",
         "--profile", "uniform"], ["--omega-a", "--length-ratio", "--modes"])
       for command in (["single"], ["double"], ["sweep", "--axis", "theta", "--values", "0.5"])],
+    # roots nearer their modes, about g^2 / |delta|, than float64 resolves for
+    # the spectrum check: the exact engine once exited 3
+    *[([*command, "--modes", "3", "--length-ratio", "1.0000000000000773", "--omega-a", "5.0e307"],
+       ["--omega-a", "--length-ratio", "--modes"])
+      for command in (["double"], ["sweep", "--axis", "theta", "--values", "0.5"])],
     # phases lam t past the float range: the exact engine once exited 3
     *[([*command, "--modes", "3", "--omega-a", "100", "--length-ratio", "10", "--dt", "3.4e305",
         "--tmax", "1.7e308"], ["phase differences", "overflow", "--tmax"])
@@ -728,19 +733,16 @@ def test_sweep_points_step_no_rk4(tmp_path, monkeypatch, initial):
     (["single"], False),  # RK4 steps its amplitudes
 ])
 def test_exact_traces_go_through_phase_sums(tmp_path, monkeypatch, argv, calls):
-    import djcsim.evolve as evolve
-    import djcsim.revivals as revivals
+    from djcsim.evolve import PhaseSeries
 
     counted = []
-    phase_sums = evolve.phase_sums
+    sums = PhaseSeries._sums
 
     def counter(*args):
         counted.append(args)
-        return phase_sums(*args)
+        return sums(*args)
 
-    # revivals holds the name too
-    monkeypatch.setattr(evolve, "phase_sums", counter)
-    monkeypatch.setattr(revivals, "phase_sums", counter)
+    monkeypatch.setattr(PhaseSeries, "_sums", counter)
     assert main(argv + ["--modes", "5", "--tmax", "1.0", "--out", str(tmp_path / "run.csv")]) == 0
     assert bool(counted) == calls
 

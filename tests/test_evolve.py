@@ -28,13 +28,13 @@ from djcsim import (
 from djcsim.double import flat_derivative as double_derivative
 from djcsim.evolve import (
     TIME_BLOCK,
-    _BLOCK_GROUP,
+    _GROUP_SUMS,
     _exact_atoms,
     _secular_roots,
     comb_spectrum,
+    exact_amplitudes,
     generator_double,
     generator_single,
-    phase_sums,
     sample_count,
     sample_times,
     step_count,
@@ -638,6 +638,11 @@ def test_comb_spectrum_converges_in_few_sweeps(config):
     (3, 3.0, 1e300), (2001, 1e4, 1e300),
     # components max|delta| / min g near 2e308, which overflowed themselves
     (11, 6.0, 1e308),
+    # outer offsets g^2 / |delta| below the normal range, which hold the
+    # secular function to fewer bits than its rounding test asked for: the
+    # solve bisected for 2093 and 3 sweeps and failed its check
+    (77, 38.00000000902152, 7.679692812501078e307),
+    (47, 23.24555638193215, 6.281412361132682e307),
 ])
 def test_comb_spectrum_converges_in_few_sweeps_at_wide_spacing(n, length_ratio, omega_a):
     # Roots lie about g^2 / spacing from their poles, far nearer than the
@@ -701,16 +706,19 @@ def test_sample_times_stay_float_beyond_int64():
     assert times[1] == 1e17 * 0.1 and times[-1] == 1e19 and len(times) == 1001
 
 
+# the starts one vecdot call sums on a sample grid
+GROUP = _GROUP_SUMS // TIME_BLOCK
+
+
 @pytest.mark.parametrize("t_max,dt,stride,samples", [
     (1.0, 0.1, 1, 11),  # one partial block
     (7.9375, 0.0625, 1, TIME_BLOCK),  # one partial block, then t_max
     (8.0, 0.0625, 1, TIME_BLOCK + 1),  # one full block, then t_max
     (6.0, 0.004, 5, 301),  # stride > 1, three blocks
     # one group of blocks summed in one call, then t_max
-    (_BLOCK_GROUP * TIME_BLOCK * 0.0625, 0.0625, 1, _BLOCK_GROUP * TIME_BLOCK + 1),
+    (GROUP * TIME_BLOCK * 0.0625, 0.0625, 1, GROUP * TIME_BLOCK + 1),
     # a full group, a second group of two blocks, then a partial block
-    ((_BLOCK_GROUP + 2) * TIME_BLOCK * 0.0625 + 3.125, 0.0625, 1,
-     (_BLOCK_GROUP + 2) * TIME_BLOCK + 51),
+    ((GROUP + 2) * TIME_BLOCK * 0.0625 + 3.125, 0.0625, 1, (GROUP + 2) * TIME_BLOCK + 51),
     (9.537, 0.01, 3, 319),  # a shortened last step
     (0.05, 0.1, 1, 2),  # t_max < dt: the start and t_max
     (0.0, 0.1, 1, 1),
@@ -766,15 +774,37 @@ def test_phase_sums_match_the_oracle_between_samples(n, profile):
     state = random_single_state(n, rng)
     # random times lie on no sample grid
     times = rng.uniform(0.0, 3.0 * retardation_time(config), 20)
-    spectrum = comb_spectrum(grid)
-    weights = np.array([spectrum.atom * (spectrum.atom * atom0 + 1j * (spectrum.photon @ photons0))
-                        for atom0, photons0 in ((state.c1, state.ca), (state.c2, state.cb))])
-    atoms = phase_sums(spectrum.eigenvalues, weights, times, [0.0],
-                       np.empty((2, len(times), 1), dtype=complex))[..., 0]
-    for t, c1, c2 in zip(times, *atoms):
+    series, _ = exact_amplitudes(grid, [(state.c1, state.ca), (state.c2, state.cb)])
+    for t, c1, c2 in zip(times, *series.at(times)):
         ref = expm_oracle(state, grid, t)
         assert abs(c1 - ref.c1) <= 1e-12
         assert abs(c2 - ref.c2) <= 1e-12
+
+
+def amplitude_bound(grid, t):
+    """How far two evaluations of one exact amplitude may part at time t:
+    the rounding of the phases lam t, C u (f t + 1) per mode with f the
+    comb's frequency bound, u = 2^-53 and C = 2, over the n modes.  (Against
+    ``expm_oracle`` the property test allows C = 8, for the oracle's own
+    rounding.)"""
+    return 2.0 * 2.0 ** -53 * (grid.frequency_bound * t + 1.0) * grid.n
+
+
+@pytest.mark.parametrize("n,length_ratio", [(1, 670.0), (19, 670.0), (99, 3480.0)])
+@pytest.mark.parametrize("profile", ["uniform", "sqrtfreq"])
+def test_series_at_any_time_matches_its_samples(n, length_ratio, profile):
+    # the blocked sample grid (starts plus offsets, t_max as an offset)
+    # against each time as its own start
+    config = reference_config(n, length_ratio, profile)
+    grid = build_mode_grid(config)
+    state = random_single_state(n, np.random.default_rng(n))
+    series, _ = exact_amplitudes(grid, [(state.c1, state.ca), (state.c2, state.cb)])
+    times = sample_times(3.0 * retardation_time(config) if n > 1 else 50.0,
+                         default_step(grid), 3)
+    assert len(times) > 2 * TIME_BLOCK
+    sampled, anywhere = series.sample(times), series.at(times)
+    assert sampled.shape == anywhere.shape == (2, len(times))
+    assert np.all(np.abs(sampled - anywhere) <= amplitude_bound(grid, times))
 
 
 def test_engines_agree_on_the_sample_grid():

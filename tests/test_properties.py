@@ -15,7 +15,7 @@ import tempfile
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from djcsim import (
     SystemConfig,
@@ -23,6 +23,7 @@ from djcsim import (
     build_mode_grid,
     default_step,
     detect_revivals,
+    expm_oracle,
     init_atoms_entangled,
     init_fields_entangled,
     run_double,
@@ -31,7 +32,7 @@ from djcsim import (
 )
 from djcsim.cli import _CSV_BLOCK, _write_csv, main
 from djcsim.csvcells import SPEC, format_rows
-from djcsim.evolve import comb_spectrum
+from djcsim.evolve import comb_spectrum, exact_amplitudes
 from djcsim.revivals import _median
 from djcsim.single import SingleExcState
 
@@ -143,13 +144,57 @@ def test_comb_spectrum_checks_hold(grid):
 
 
 @st.composite
+def oracle_grids(draw):
+    """A grid SystemConfig admits, small enough for ``expm_oracle``: odd
+    n <= 21, either profile, omega_a from 1e-3 to 1e8 and L/lambda_a from 1
+    to 1e6, each log-uniform."""
+    n = 2 * draw(st.integers(0, 10)) + 1
+    length_ratio = 10.0 ** draw(st.floats(0.0, 6.0))
+    assume(length_ratio > (n - 1) / 2)  # the lowest mode stays above 0
+    return build_mode_grid(SystemConfig(omega_a=10.0 ** draw(st.floats(-3.0, 8.0)),
+                                        length_ratio=length_ratio, n_modes=n,
+                                        coupling_profile=draw(profiles)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(oracle_grids(), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+def test_exact_amplitudes_match_the_oracle(grid, seed, fractions):
+    # A random normalised start, at times up to the phase rule's edge, where
+    # float64 rounds a phase lam t by 1e-6.  The bound is C u (f t + 1) n,
+    # with f the comb's frequency bound and u = 2^-53.  C = 8 covers the
+    # oracle's own error: its dense eigh is off by up to 5.7 u n at t = 0
+    # on n = 3 grids (150k draws), and by 3.5 u (f t + 1) n at the edge,
+    # while 60-digit checks of the worst cases put the engine within
+    # 1.0 u (f t + 1) n.
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=2 * grid.n + 2) + 1j * rng.normal(size=2 * grid.n + 2)
+    state = SingleExcState.from_vector(vec / np.linalg.norm(vec), grid.n)
+    series, _ = exact_amplitudes(grid, [(state.c1, state.ca), (state.c2, state.cb)])
+    u, f = 2.0 ** -53, grid.frequency_bound
+    times = np.array(fractions) * (1e-6 / (u * f))
+    for t, c1, c2 in zip(times, *series.at(times)):
+        ref = expm_oracle(state, grid, t)
+        bound = 8.0 * u * (f * t + 1.0) * grid.n
+        assert abs(c1 - ref.c1) <= bound
+        assert abs(c2 - ref.c2) <= bound
+
+
+@st.composite
 def length_ratios(draw, n, omega_a=1e308):
     """L/lambda_a for n modes, log-uniform over the ratios SystemConfig admits
-    with omega_a, or in about one draw in ten a ratio it refuses: below 1,
-    or so short that the lowest mode frequency is not positive."""
+    with omega_a, or in about one draw in ten just above the least it admits,
+    or in about one in ten a ratio it refuses: below 1, or so short that the
+    lowest mode frequency is not positive."""
     half_span = (n - 1) // 2
     # 1 rather than 0, which hypothesis draws more often than one in ten
-    if draw(st.integers(0, 9)) != 1:
+    branch = draw(st.integers(0, 9))
+    if branch == 2 and half_span:
+        # 1e-16 to 1e-8 relative above the least, where the lowest mode's
+        # coupling is smallest: at omega_a above 1e305 the roots lie nearer
+        # their modes than float64 resolves
+        return repr(half_span * (1.0 + 10.0 ** draw(st.floats(-16.0, -8.0))))
+    if branch != 1:
         # omega_a / L above about 1e-307 keeps the round trip 2 pi / spacing finite
         top = max(0.0, min(308.0, math.log10(omega_a) + 306.0))
         return repr(min(half_span + 10.0 ** draw(st.floats(0.0, top)), 1.7976931348623157e308))
@@ -166,9 +211,10 @@ def grid_flags(draw):
     n = 2 * draw(st.integers(0, 10)) + 1
     length_ratio = draw(length_ratios(n))
     # omega_a above 1e-307 L, so that the spacing omega_a / L leaves a
-    # finite round trip
+    # finite round trip, and in about one draw in five from 1e305 to 1.8e308
     low = max(-307.0, math.log10(float(length_ratio)) - 307.0)
-    return ["--modes", str(n), "--omega-a", repr(10.0 ** draw(st.floats(low, 308.0))),
+    decades = st.floats(305.0, 308.25) if draw(st.integers(0, 4)) == 1 else st.floats(low, 308.0)
+    return ["--modes", str(n), "--omega-a", repr(10.0 ** draw(decades)),
             "--length-ratio", length_ratio]
 
 # a --tmax multiple of the default step: no window takes more than 501 steps
@@ -278,6 +324,13 @@ SPREAD_ARGVS = [
           "3.1622776601683795", "--profile", "uniform"])
 # a mode spacing of exactly the exact engine's least, 1e-150
 @example(["double", "--modes", "3", "--omega-a", "2e-150", "--length-ratio", "2"])
+# roots nearer their modes than float64 resolves: once exit 3, now exit 2
+@example(["double", "--modes", "3", "--omega-a", "5.0e307", "--length-ratio",
+          "1.0000000000000773"])
+# offsets from the poles below the normal range: once exit 3, now exit 0
+@example(["double", "--modes", "77", "--omega-a", "7.679692812501078e+307", "--length-ratio",
+          "38.00000000902152"])
+@example(["double", "--modes", "19", "--omega-a", "7.7e307", "--length-ratio", "9.000000069"])
 def test_exact_runs_write_finite_cells_or_exit_2(argv):
     check_run(argv)
 
@@ -295,6 +348,24 @@ def test_exact_runs_with_explicit_windows_write_finite_cells_or_exit_2(argv):
 @settings(max_examples=200, deadline=None, database=None)
 @given(kernel_argvs())
 def test_kernel_runs_write_finite_cells_or_exit_2(argv):
+    check_run(argv)
+
+
+# any positive spacing, as a --dt
+spacings = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def kernel_step_argvs(draw):
+    """A ``kernel_argvs`` trace with an explicit --dt and a --tmax of at
+    most 500 of its steps: at most 501 taus."""
+    dt = draw(spacings)
+    return draw(kernel_argvs()) + ["--dt", repr(dt), "--tmax", repr(draw(step_multiples) * dt)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(kernel_step_argvs())
+def test_kernel_runs_with_explicit_steps_write_finite_cells_or_exit_2(argv):
     check_run(argv)
 
 
@@ -341,7 +412,7 @@ def explicit_step_argvs(draw):
     if argv[0] == "single":
         dt = draw(st.floats(0.05, 2.0)) * stability_limit(grid)
     else:
-        dt = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+        dt = draw(spacings)
     return argv + ["--dt", repr(dt), "--tmax", repr(draw(step_multiples) * dt)]
 
 
@@ -387,18 +458,28 @@ def test_axis_sweeps_write_finite_cells_or_exit_2(argv):
     check_run(argv, runs=len(argv[argv.index("--values") + 1].split(",")))
 
 
+# a --stride below and beyond the int64 range
+strides = st.integers(1, 1000) | st.integers(1, 10 ** 20)
+
+
 @st.composite
 def strided_argvs(draw):
     """An explicit-window exact or RK4 run, at most 501 steps, with a drawn
-    --stride, below and beyond the int64 range."""
-    argv = draw(explicit_window_argvs() | single_argvs())
-    return argv + ["--stride", str(draw(st.integers(1, 1000) | st.integers(1, 10 ** 20)))]
+    --stride."""
+    return draw(explicit_window_argvs() | single_argvs()) + ["--stride", str(draw(strides))]
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(strided_argvs())
 def test_strided_runs_write_finite_cells_or_exit_2(argv):
     check_run(argv)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(explicit_step_argvs(), strides)
+def test_strided_runs_with_explicit_steps_write_finite_cells_or_exit_2(argv, stride):
+    # single, double and sweep runs of at most 501 steps
+    check_run(argv + ["--stride", str(stride)])
 
 
 @settings(max_examples=100, deadline=None, database=None)
