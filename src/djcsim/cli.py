@@ -34,8 +34,9 @@ exactly like flags, and command-line flags win over file values.  The
 single subcommand propagates with RK4, which checks its stability limit
 before the first step; double runs and every sweep point use the exact
 single-comb engine (see _plan).
-Every CSV number is written as %.17g, which reads back to the same float64;
-csvcells formats the cells in numpy blocks of 512 rows, byte for byte.
+Every CSV number is written as %.16e, 17 significant digits that read back
+to the same float64; csvcells formats the cells in numpy blocks of 512
+rows, byte for byte.
 Exit codes: 0 success, 2 invalid parameters, paths or a run over the work
 limits, 3 numerical failure (nonfinite amplitudes, or an exact spectrum
 that fails its check).
@@ -103,11 +104,15 @@ MIN_EXACT_SPACING = 1e-150
 _COLLAPSE_REGIME = 5.0
 #: Phase rounding (radians) above which a run warns: the column tolerance.
 _PHASE_TOL = 1e-6
-#: CSV rows formatted at once.  A block costs about 150 us of numpy call
-#: overhead whatever its size, and past about 512 rows of 11 columns its
-#: arrays outgrow the processor's caches: a dense sweep's 24.5k rows took
-#: 52, 42, 52 and 50 ms at 256, 512, 768 and 1024 rows (medians of 21,
-#: 2-core Xeon VM, 2 MiB L2 per core).  A 512 x 11 block peaks at 0.55 MiB.
+#: CSV rows formatted at once.  A block costs about 50 us of numpy call
+#: overhead whatever its size, and past about 512 rows of 11 columns glibc
+#: returns each block's memory to the system and faults it in again: a
+#: dense sweep's 24.5k x 11 cells took 17.3, 15.6, 23.6 and 23.7 ms at 256,
+#: 512, 1024 and 2048 rows, and a double run's 2002 x 8 took 1.30, 1.06,
+#: 0.96 and 0.92 ms (best of three medians of 21, 2-core Xeon VM).  With
+#: glibc's trim and mmap thresholds raised to 256 MiB the dense sweep took
+#: 15.6, 14.3 and 13.6 ms at 512, 1024 and 2048 rows.  A 512 x 11 block
+#: peaks at 0.55 MiB.
 _CSV_BLOCK = 512
 
 _PI_EXPR = re.compile(r"^\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$")

@@ -13,6 +13,7 @@ import djcsim
 from djcsim import (IntegrationError, SystemConfig, build_mode_grid, default_step,
                     first_kernel_echo, memory_kernel, retardation_time, run_double)
 from djcsim.cli import _build_parser, _format_time, _plan, main, parse_number
+from djcsim.csvcells import SPEC
 from djcsim.evolve import Trajectory, sample_count, step_count
 from djcsim.revivals import detect_revivals, tau_count
 from make_reference import readme_commands, readme_snippet
@@ -261,7 +262,7 @@ def test_csv_rows_are_17_significant_digits_of_each_value(tmp_path):
     cli._write_csv(str(out), "t", times, records)
     columns = [times, *records.values()]
     expected = "t,x,y,k\n" + "".join(
-        ",".join("%.17g" % float(c[i]) for c in columns) + "\n" for i in range(rows))
+        ",".join(SPEC % float(c[i]) for c in columns) + "\n" for i in range(rows))
     assert out.read_bytes() == expected.encode("ascii")
     # every cell reads back to the float64 it was written from, -0.0 and NaN included
     header, cells = read_csv(out)
@@ -285,7 +286,7 @@ def test_csv_cells_outside_the_fast_path_are_the_spec(tmp_path, values):
     out = tmp_path / "rows.csv"
     cli._write_csv(str(out), "t", table[0], records)
     expected = "t,c0,c1,c2\n" + "".join(
-        ",".join("%.17g" % v for v in row) + "\n" for row in table.T.tolist())
+        ",".join(SPEC % v for v in row) + "\n" for row in table.T.tolist())
     assert out.read_bytes() == expected.encode("ascii")
 
 

@@ -507,6 +507,38 @@ def test_exact_double_matches_expm_oracle(n):
             assert abs(traj.records[name][i] - value) <= 1e-10, name
 
 
+@pytest.mark.parametrize("n,omega_a,length_ratio,profile", [
+    (5, 1.06e-3, 2.93e5, "sqrtfreq"),
+    (11, 2.05e-3, 1.48e5, "uniform"),
+])
+def test_exact_amplitudes_match_60_digit_arithmetic(n, omega_a, length_ratio, profile):
+    # Two grids at the phase rule's edge, where float64 rounds a phase
+    # lam t by 1e-6: the engine against a 60-digit eigendecomposition of the
+    # arrowhead, for the atom start and a random one, within its own bound
+    # u (f t + 1) n, without the factor the float64 oracle needs.
+    mpmath = pytest.importorskip("mpmath")
+    grid = build_mode_grid(SystemConfig(omega_a=omega_a, length_ratio=length_ratio,
+                                        n_modes=n, coupling_profile=profile))
+    state = random_single_state(n, np.random.default_rng(n))
+    starts = [(1.0, np.zeros(n)), (state.c1, state.ca)]
+    u, f = 2.0 ** -53, grid.frequency_bound
+    times = np.linspace(0.0, 1e-6 / (u * f), 9)
+    series, _ = exact_amplitudes(grid, starts)
+    with mpmath.workdps(60):
+        arrow = mpmath.diag([0.0, *grid.detunings.tolist()])
+        for k, g in enumerate(grid.couplings.tolist(), start=1):
+            arrow[0, k] = arrow[k, 0] = g
+        lam, vecs = mpmath.eigsy(arrow)
+        for (atom0, photons0), got in zip(starts, series.at(times)):
+            # the photons enter with the factor i, as in exact_amplitudes
+            start = [complex(atom0), *(1j * photons0).tolist()]
+            weights = [vecs[0, j] * mpmath.fsum(vecs[k, j] * start[k] for k in range(n + 1))
+                       for j in range(n + 1)]
+            for t, value in zip(times.tolist(), got):
+                exact = mpmath.fsum(w * mpmath.expj(-lam[j] * t) for j, w in enumerate(weights))
+                assert abs(value - complex(exact)) <= u * (f * t + 1.0) * n
+
+
 @pytest.mark.parametrize("n", [1, 19, 99, 499])
 def test_comb_spectrum_matches_eigvalsh(n):
     grid = build_mode_grid(reference_config(n, 3480.0, "sqrtfreq"))

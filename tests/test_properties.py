@@ -1,10 +1,10 @@
 """Property tests of the exact engine over random grids, angles and states,
 of the RK4 reference stack on small, slow grids, and of the revival
 detector against a sample-by-sample loop and numpy's median, of the CSV
-writer: its bytes against Python's %.17g, and its read-back, and of the
-exact engine's, RK4's and the kernel trace's runs through ``cli.main``
-over the whole admitted space: sweeps along every axis, drawn strides and
-steps, and ``--config`` files against the flags they carry."""
+writer: its bytes against Python's ``SPEC`` (%.16e), and its read-back,
+and of the exact engine's, RK4's and the kernel trace's runs through
+``cli.main`` over the whole admitted space: sweeps along every axis, drawn
+strides and steps, and ``--config`` files against the flags they carry."""
 
 import contextlib
 import io
@@ -21,11 +21,14 @@ from djcsim import (
     SystemConfig,
     Trajectory,
     build_mode_grid,
+    concurrence_double_closed,
     default_step,
     detect_revivals,
     expm_oracle,
     init_atoms_entangled,
+    init_double,
     init_fields_entangled,
+    observables_double,
     run_double,
     run_single,
     stability_limit,
@@ -144,11 +147,11 @@ def test_comb_spectrum_checks_hold(grid):
 
 
 @st.composite
-def oracle_grids(draw):
+def oracle_grids(draw, max_modes=21):
     """A grid SystemConfig admits, small enough for ``expm_oracle``: odd
-    n <= 21, either profile, omega_a from 1e-3 to 1e8 and L/lambda_a from 1
-    to 1e6, each log-uniform."""
-    n = 2 * draw(st.integers(0, 10)) + 1
+    n <= max_modes, either profile, omega_a from 1e-3 to 1e8 and L/lambda_a
+    from 1 to 1e6, each log-uniform."""
+    n = 2 * draw(st.integers(0, (max_modes - 1) // 2)) + 1
     length_ratio = 10.0 ** draw(st.floats(0.0, 6.0))
     assume(length_ratio > (n - 1) / 2)  # the lowest mode stays above 0
     return build_mode_grid(SystemConfig(omega_a=10.0 ** draw(st.floats(-3.0, 8.0)),
@@ -178,6 +181,28 @@ def test_exact_amplitudes_match_the_oracle(grid, seed, fractions):
         bound = 8.0 * u * (f * t + 1.0) * grid.n
         assert abs(c1 - ref.c1) <= bound
         assert abs(c2 - ref.c2) <= bound
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(oracle_grids(max_modes=13), thetas, st.floats(0.0, 1.0), st.integers(1, 4))
+def test_double_columns_match_the_oracle(grid, theta, fraction, steps):
+    # run_double's columns against expm_oracle on init_double, whose
+    # dimension (n+1)^2 + 1 stays within the oracle's cap for n <= 13, at
+    # samples up to the phase rule's edge.  The bound has the form of
+    # test_exact_amplitudes_match_the_oracle's, C u (f t + 1) n, and again
+    # the oracle sets C: its dense eigh was off by up to 11 u n at t = 0 (60k
+    # draws of n <= 5, where the run holds the start exactly), and the
+    # columns by up to 3.9 u (f t + 1) n at t > 0 (13k draws of n <= 13).
+    u, f = 2.0 ** -53, grid.frequency_bound
+    t_max = fraction * (1e-6 / (u * f))
+    traj = run_double(grid, theta, t_max, dt=t_max / steps or 1.0)
+    state = init_double(theta, grid)
+    for i, t in enumerate(traj.times):
+        ref = expm_oracle(state, grid, t)
+        expected = {"c_ab": concurrence_double_closed(ref), **observables_double(ref)}
+        bound = 16.0 * u * (f * t + 1.0) * grid.n
+        for name in ("p11", "p2", "p4", "c_ab"):
+            assert abs(traj.records[name][i] - expected[name]) <= bound, name
 
 
 @st.composite
@@ -625,6 +650,13 @@ def powers_of_ten_and_neighbours(first, last):
 # the point after every digit, and none (x = 16); trailing zeros before it
 @example([s * 1.2345678901234567 * 10.0 ** x for x in range(17) for s in (1, -1)]
          + [10.0, 1234.5, 99999999.999999985], 3)
+# the exponent's sign flips at 1 and at 0.1; the leads 10 and 99
+@example([1.0, 0.99999999999999989, 0.1, -0.1, 0.099999999999999992, -1.0], 3)
+@example([10.0, 99.0, -10.0, 99.999999999999986, 1.0000000000000002e-5], 5)
+# mantissas that end in zeros, printed in full; both zeros
+@example([0.5, 0.25, 1e16, -0.5, 0.0, -0.0], 2)
+# 3-digit exponents, which do not fit a cell's slot, beside fast cells
+@example([1e-100, 0.5, -1e-100, 1e100, -3.0, 0.0], 3)
 def test_formatted_rows_are_the_spec_byte_for_byte(values, columns):
     table = np.resize(np.array(values), (-(-len(values) // columns), columns))
     expected = "".join(",".join(SPEC % v for v in row) + "\n" for row in table.tolist())
