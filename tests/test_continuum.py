@@ -4,7 +4,9 @@ All are independent of the RK4 stack, of ``expm_oracle`` and of the
 secular solve: the memory kernel of n uniformly coupled modes is a
 Dirichlet kernel, that of the sqrtfreq profile adds its derivative, and as
 n -> infinity the uniform comb's atom amplitude u(t) solves a delay
-equation whose solution is a series of Laguerre polynomials.
+equation whose solution is a series of Laguerre polynomials.  Before the
+first round trip that atom decays as in free space, which times the sudden
+death of the doubly excited state.
 """
 
 import math
@@ -12,7 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from djcsim import SystemConfig, build_mode_grid, memory_kernel, retardation_time, run_single
+from djcsim import (SystemConfig, build_mode_grid, memory_kernel, retardation_time, run_double,
+                    run_single)
+from djcsim.evolve import exact_amplitudes
 from djcsim.single import SingleExcState
 
 
@@ -110,3 +114,53 @@ def test_sqrtfreq_kernel_is_the_dirichlet_kernel_and_its_derivative(n):
     values = memory_kernel(grid, taus)
     error = np.max(np.abs(values - (dirichlet + 1j * slope / omega_a)))
     assert error <= 1e-12 * n  # 1.8e-13 at n = 19, 2.4e-10 at n = 1999
+
+
+def first(mask):
+    """The index of the first true entry, or None."""
+    hits = np.flatnonzero(mask)
+    return hits[0] if len(hits) else None
+
+
+def markov_death_time(theta, t_r):
+    """When exp(-Gamma t) falls to 1 - cot(theta), with Gamma = t_r."""
+    return -math.log(1.0 - 1.0 / math.tan(theta)) / t_r
+
+
+@pytest.mark.parametrize("n,length_ratio,omega_a", [(49, 1720.0, 11100.0), (99, 3480.0, 4840.0)])
+def test_sudden_death_is_the_threshold_crossing(n, length_ratio, omega_a):
+    # With p = |u|^2, cos(theta)|gg> + sin(theta)|ee> keeps
+    # c_ab = 2 sin p max(0, cos - sin (1 - p)), exactly zero iff
+    # p <= 1 - cot(theta): sudden death for theta > pi/4 only.  Sampled at
+    # every step up to the first round trip; n = 49 is the esd-double
+    # benchmark workload's grid.
+    config = SystemConfig(omega_a=omega_a, length_ratio=length_ratio, n_modes=n)
+    grid = build_mode_grid(config)
+    t_r = retardation_time(config)
+    series, _ = exact_amplitudes(grid, [(1.0, np.zeros(n))])
+    for theta in (0.6, math.pi / 4, 0.85, 1.05, 1.3):
+        traj = run_double(grid, theta, t_r)
+        dead = first(traj.records["c_ab"] == 0.0)
+        if theta <= math.pi / 4:
+            assert dead is None, theta
+            continue
+        p = np.abs(series.sample(traj.times)[0]) ** 2
+        assert dead == first(p <= 1.0 - 1.0 / math.tan(theta)), theta
+        # a death before t_r wherever the free-space decay puts one there
+        assert (dead is not None) == (markov_death_time(theta, t_r) < t_r), theta
+
+
+def test_sudden_death_time_approaches_the_free_space_decay():
+    # n = 1999 modes at L = 3480, omega_a = 4840 (Gamma t_r = 20.4): the
+    # first dead sample lies +0.01%, +0.16% and +0.55% after the free-space
+    # time, the finite bandwidth's quadratic start of the decay (+0.0%,
+    # +3.3% and +8.2% at n = 99)
+    config = SystemConfig(omega_a=4840.0, length_ratio=3480.0, n_modes=1999)
+    grid = build_mode_grid(config)
+    t_r = retardation_time(config)
+    for theta in (0.85, 1.05, 1.3):
+        markov = markov_death_time(theta, t_r)
+        traj = run_double(grid, theta, 1.1 * markov)
+        dead = first(traj.records["c_ab"] == 0.0)
+        assert dead is not None, theta
+        assert abs(traj.times[dead] / markov - 1.0) <= 0.01, theta

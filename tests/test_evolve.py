@@ -4,6 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import djcsim
+import djcsim.double
+import djcsim.single
+from djcsim import evolve
 from djcsim import (
     DoubleExcState,
     IntegrationError,
@@ -29,12 +33,11 @@ from djcsim.double import flat_derivative as double_derivative
 from djcsim.evolve import (
     TIME_BLOCK,
     _GROUP_SUMS,
+    _cavity_generator,
     _exact_atoms,
     _secular_roots,
     comb_spectrum,
     exact_amplitudes,
-    generator_double,
-    generator_single,
     sample_count,
     sample_times,
     step_count,
@@ -218,11 +221,33 @@ def test_expm_oracle_resonant_half_period():
 
 
 def test_expm_oracle_dimension_cap():
+    # no cap on the dimension: a double state of dimension 2 + 30 + 225 = 257
+    # propagates as two 16-dimensional cavities
     cfg = SystemConfig(omega_a=4840.0, length_ratio=670.0, n_modes=15)
     grid = build_mode_grid(cfg)
-    state = init_double(0.5, grid)  # dimension 2 + 30 + 225 = 257
-    with pytest.raises(ValueError, match="dimension"):
-        expm_oracle(state, grid, 1.0)
+    state = init_double(0.5, grid)
+    traj = run_double(grid, 0.5, t_max=1.0, dt=0.25)
+    for t, p11 in zip(traj.times, traj.records["p11"]):
+        assert abs(abs(expm_oracle(state, grid, t).d11) ** 2 - p11) <= 1e-10
+
+
+def test_expm_oracle_shares_no_code_with_the_engines(monkeypatch):
+    # the reference must not reach the secular solver, the phase sums, the
+    # RK4 loop or the hand-written derivatives it is checked against
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm_oracle called an engine")
+
+    for module in (djcsim, evolve):
+        for name in ("comb_spectrum", "integrate"):
+            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(evolve, "_secular_roots", refuse)
+    monkeypatch.setattr(evolve.PhaseSeries, "_sums", refuse)
+    monkeypatch.setattr(djcsim.single, "flat_derivative", refuse)
+    monkeypatch.setattr(djcsim.double, "flat_derivative", refuse)
+    grid = build_mode_grid(reference_config(3, 670.0))
+    for state in (init_atoms_entangled(0.4, grid), init_double(0.4, grid)):
+        evolved = expm_oracle(state, grid, 1.0)
+        assert np.linalg.norm(evolved.to_vector()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expm_oracle_rejects_other_states():
@@ -233,13 +258,19 @@ def test_expm_oracle_rejects_other_states():
 
 
 def test_rk4_matches_expm_oracle_n3():
+    # an entangled single state, and a random double state, which pins how
+    # the oracle lays d11, d2, d3 and d4 out over the two cavities
     grid = build_mode_grid(reference_config(3, 670.0, profile="sqrtfreq"))
-    state = init_atoms_entangled(math.pi / 4, grid)
-    reference = expm_oracle(state, grid, 1.0).to_vector()
-    traj = integrate(single_derivative(grid), state.to_vector(), 1.0, dt=2e-3,
-                     sample_stride=10 ** 9, observe=lambda t, y: {"vec": y.copy()})
-    end = traj.records["vec"][-1]
-    assert np.max(np.abs(end - reference)) <= 1e-6
+    rng = np.random.default_rng(3)
+    vec = rng.normal(size=17) + 1j * rng.normal(size=17)  # 2 + 2n + n^2 amplitudes
+    starts = ((init_atoms_entangled(math.pi / 4, grid), single_derivative(grid)),
+              (DoubleExcState.from_vector(vec / np.linalg.norm(vec), 3), double_derivative(grid)))
+    for state, deriv in starts:
+        reference = expm_oracle(state, grid, 1.0).to_vector()
+        traj = integrate(deriv, state.to_vector(), 1.0, dt=2e-3,
+                         sample_stride=10 ** 9, observe=lambda t, y: {"vec": y.copy()})
+        end = traj.records["vec"][-1]
+        assert np.max(np.abs(end - reference)) <= 1e-6
 
 
 def test_rk4_order_check():
@@ -280,27 +311,38 @@ def test_linearity_in_the_initial_state():
 
 
 def test_generators_match_derivatives():
-    # the dense oracle generators are assembled independently; they must
-    # agree with the vectorized right-hand sides on random vectors
+    # the hand-written right-hand sides against the oracle's one-cavity
+    # generator A on random vectors: applied to each cavity block (atom,
+    # photons) of a single state, and as A^T Psi + Psi A to a double state's
+    # Psi over [cavity a, cavity b], atom first, with d00 constant
     rng = np.random.default_rng(31)
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
     for n, length_ratio in ((1, 670.0), (3, 670.0), (19, 670.0), (99, 3480.0)):
         for profile in ("uniform", "sqrtfreq"):
             grid = build_mode_grid(reference_config(n, length_ratio, profile=profile))
-            m_single = generator_single(grid)
+            a = _cavity_generator(grid)
             d_single = single_derivative(grid)
-            # the dense double generator has (n^2 + 2n + 2)^2 entries
-            double = n <= 3
-            if double:
-                m_double = generator_double(grid)
-                d_double = double_derivative(grid)
+            d_double = double_derivative(grid)
             for _ in range(5):
-                v = rng.normal(size=2 + 2 * n) + 1j * rng.normal(size=2 + 2 * n)
-                np.testing.assert_allclose(m_single @ v, d_single(v), rtol=0, atol=1e-13)
-                if double:
-                    dim = 2 + 2 * n + n * n
-                    w = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-                    np.testing.assert_allclose(m_double @ w, d_double(w), rtol=0,
-                                               atol=1e-13)
+                block_a, block_b = normal(n + 1), normal(n + 1)
+                v = SingleExcState(block_a[0], block_b[0], block_a[1:], block_b[1:])
+                da, db = a @ block_a, a @ block_b
+                expected = SingleExcState(da[0], db[0], da[1:], db[1:]).to_vector()
+                np.testing.assert_allclose(d_single(v.to_vector()), expected, rtol=0,
+                                           atol=1e-13)
+                psi = normal(n + 1, n + 1)
+                w = DoubleExcState(normal(1)[0], psi[0, 0], psi[0, 1:], psi[1:, 0],
+                                   psi[1:, 1:])
+                dpsi = a.T @ psi + psi @ a
+                expected = DoubleExcState(0.0, dpsi[0, 0], dpsi[0, 1:], dpsi[1:, 0],
+                                          dpsi[1:, 1:]).to_vector()
+                # rounding scales with the largest entry, which
+                # -i (delta_mu + delta_nu) d4 takes to about 300 at n = 99
+                np.testing.assert_allclose(d_double(w.to_vector()), expected, rtol=0,
+                                           atol=1e-14 * np.max(np.abs(expected)))
 
 
 def textbook_rk4(deriv, y, t_max, dt, stride):
@@ -495,9 +537,12 @@ def test_exact_single_matches_expm_oracle(n, profile):
         assert abs(rec["c_ab"][i] - concurrence_single_closed(ref)) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 3, 19, 49])
 def test_exact_double_matches_expm_oracle(n):
-    grid = build_mode_grid(reference_config(n, 670.0, "sqrtfreq"))
+    # n = 49 is the esd-double benchmark workload's grid
+    config = (SystemConfig(omega_a=11100.0, length_ratio=1720.0, n_modes=49) if n == 49
+              else reference_config(n, 670.0, "sqrtfreq"))
+    grid = build_mode_grid(config)
     state = init_double(1.1, grid)
     traj = run_double(grid, 1.1, t_max=3.0, dt=0.35)
     for i, t in enumerate(traj.times):
