@@ -25,9 +25,9 @@ atom amplitude; m = 4 for a double run, quadratic in its two-excitation
 amplitudes, the products of two; m = 1 for the kernel trace, linear in its
 phases.  A default window and stride keep both rules; an explicit --tmax,
 --stride or --dt that breaks one prints a warning line after the scenario
-line.  A trajectory whose frequency differences, up to 2 f, float64 cannot
-hold exits 2, and so does any run whose phase differences, up to 2 f t,
-overflow over its window.
+line.  A run exits 2 where float64 cannot hold a trajectory's frequency
+differences, up to 2 f, any run's phase differences over its window, up to
+2 f t, or the exact engine's secular terms, up to G^2 / spacing.
 Parameters can also be supplied as key=value lines in a file passed with
 --config; keys are the flag names with underscores, values are checked
 exactly like flags, and command-line flags win over file values.  The
@@ -96,10 +96,6 @@ MAX_RK4_STEPS = 10 ** 7
 #: n = 1999).  RK4 and the kernel trace cost less per mode, but grow with n
 #: unbounded by the other limits.
 MAX_MODES = 2001
-#: Least mode spacing of a multimode grid for the exact engine: below about
-#: 1e-154 the secular solver's slope overflows and every root bisects (52
-#: sweeps, not 7, at n = 2001); near 1e-307 the offsets go subnormal.
-MIN_EXACT_SPACING = 1e-150
 #: Below this Gamma * t_r the atom has not decayed by the first round trip.
 _COLLAPSE_REGIME = 5.0
 #: Phase rounding (radians) above which a run warns: the column tolerance.
@@ -403,13 +399,15 @@ def _plan(args: argparse.Namespace) -> _Run:
     # switching it waits for the benchmark change that updates the test.
     # Double runs and every sweep point use the exact engine.
     engine = "rk4" if args.command == "single" else "exact"
-    # one mode has one pole and no spacing for the solver to resolve
-    if engine == "exact" and config.n_modes > 1 and config.mode_spacing < MIN_EXACT_SPACING:
-        raise ValueError(f"--omega-a {config.omega_a:g} over --length-ratio "
-                         f"{config.length_ratio:g} gives a mode spacing of "
-                         f"{config.mode_spacing:.3g}, below the exact engine's limit of "
-                         f"{MIN_EXACT_SPACING:g}; raise --omega-a or lower --length-ratio")
     grid = build_mode_grid(config)
+    # The secular terms g_k^2 / (delta_k - lam) reach G^2 / spacing between
+    # the poles; one mode has one pole and no spacing.
+    coupling2 = grid.collective_coupling ** 2
+    if engine == "exact" and config.n_modes > 1 and coupling2 / grid.spacing == math.inf:
+        raise ValueError(f"--omega-a {config.omega_a:g}, --length-ratio {config.length_ratio:g} "
+                         f"and --modes {config.n_modes} give secular terms up to G^2/spacing = "
+                         f"{coupling2:.3g}/{grid.spacing:.3g}, past float64's limit; "
+                         f"raise --omega-a, or lower --length-ratio or --modes")
     # the spectrum's check takes differences of eigenvalues, up to 2 f, and
     # the RK4 stability limit divides by 2 f
     if 2.0 * grid.frequency_bound == math.inf:

@@ -348,13 +348,14 @@ def _model_roots(a, r, g2):
     return np.minimum(first, second), np.maximum(first, second)
 
 
-def _pole_line(delta, g2, origin, t, gap, term):
+def _pole_line(delta, g2, origin, t, unit, gap, term):
     """The rest of f beside each row's own pole delta[origin], as a line.
 
     At lam = delta[origin] + t it returns lam + sum_{k != origin}
-    g_k^2 / (delta_k - lam), its slope 1 + sum_{k != origin}
-    g_k^2 / (delta_k - lam)^2, and sum_{k != origin} |g_k^2 / (delta_k - lam)|,
-    with gap and term as (rows x n) buffers.
+    g_k^2 / (delta_k - lam), unit^2 times its slope 1 + sum_{k != origin}
+    g_k^2 / (delta_k - lam)^2, formed as unit (unit + sum_k unit g_k^2 /
+    (delta_k - lam)^2) so that no square overflows, and sum_{k != origin}
+    |g_k^2 / (delta_k - lam)|, with gap and term as (rows x n) buffers.
     """
     pole = delta[origin]
     # delta_k - lam, formed from the exact delta_k - pole
@@ -363,9 +364,10 @@ def _pole_line(delta, g2, origin, t, gap, term):
     gap[np.arange(len(origin)), origin] = np.inf  # drops the own pole's term
     np.divide(g2, gap, out=term)
     rest = pole + t + term.sum(axis=1)
-    np.divide(term, gap, out=gap)  # g_k^2 / (delta_k - lam)^2
+    gap /= unit[:, None]
+    np.divide(term, gap, out=gap)  # unit g_k^2 / (delta_k - lam)^2
     np.abs(term, out=term)
-    return rest, 1.0 + gap.sum(axis=1), term.sum(axis=1)
+    return rest, unit * (unit + gap.sum(axis=1)), term.sum(axis=1)
 
 
 def _secular_roots(delta, g2, reach):
@@ -379,6 +381,10 @@ def _secular_roots(delta, g2, reach):
     and the rest of f the line through its value and slope at the current
     offset t, rest + slope (tau - t) - g_o^2 / tau = 0.  Times tau that is
     a quadratic with one root on each side of the pole, exact for one mode.
+    It is solved for s = tau / unit, (slope unit^2) s^2 + (rest - slope t)
+    unit s = g_o^2, unit the largest power of two within 1 and the root's
+    bracket width: bit for bit the unscaled model wherever that is finite,
+    and finite where its slope, about g^2 / spacing^2, overflows (1e-154).
 
     Taken at each pole (t = 0), the models give interior root j two
     estimates, one above pole j-1 and one below pole j.  At most one of
@@ -406,12 +412,16 @@ def _secular_roots(delta, g2, reach):
     gaps = np.empty((n + 1, n))
     terms = np.empty((n + 1, n))
     poles = np.arange(n)
-    rest, slope, _ = _pole_line(delta, g2, poles, np.zeros(n), gaps[:n], terms[:n])
-    below, above = _model_roots(slope, rest, g2)
-    # root j from pole j-1 and from pole j; at least one lies in the gap
-    up, down = above[:-1], below[1:]
-    nearer_up = up <= -down
     width = np.diff(delta)
+    # the outer brackets are at least reach wide; a pole's model serves the
+    # roots on both sides of it
+    unit = np.ldexp(0.5, np.frexp(np.minimum(np.concatenate(([reach], width, [reach])), 1.0))[1])
+    first = np.minimum(unit[:-1], unit[1:])
+    rest, slope, _ = _pole_line(delta, g2, poles, np.zeros(n), first, gaps[:n], terms[:n])
+    below, above = _model_roots(slope, rest * first, g2)
+    # root j from pole j-1 and from pole j; at least one lies in the gap
+    up, down = above[:-1] * first[:-1], below[1:] * first[1:]
+    nearer_up = up <= -down
     origin = np.concatenate(([0], np.where(nearer_up, poles[:-1], poles[1:]), [n - 1]))
     # one mode puts its roots +-G on the outer ends: admit them
     lo = np.concatenate(([np.nextafter(min(0.0, -delta[0]) - reach, -np.inf)],
@@ -427,7 +437,8 @@ def _secular_roots(delta, g2, reach):
         rows = len(open_)
         t = tau[open_]
         own = origin[open_]
-        rest, slope, size = _pole_line(delta, g2, own, t, gaps[:rows], terms[:rows])
+        u = unit[open_]
+        rest, slope, size = _pole_line(delta, g2, own, t, u, gaps[:rows], terms[:rows])
         pull = g2[own] / t  # minus the own pole's term
         f = rest - pull
         # an offset below 2^-1024 holds the pull to only 2^-1074 / |t|
@@ -436,8 +447,8 @@ def _secular_roots(delta, g2, reach):
                  * (np.abs(delta[own] + t) + size + np.abs(pull)))
         low = lo[open_] = np.where(f < 0.0, t, lo[open_])
         high = hi[open_] = np.where(f > 0.0, t, hi[open_])
-        below, above = _model_roots(slope, rest - slope * t, g2[own])
-        step = np.where(side_up[open_], above, below)
+        below, above = _model_roots(slope, rest * u - slope * (t / u), g2[own])
+        step = np.where(side_up[open_], above, below) * u
         step = np.where((low < step) & (step < high), step, 0.5 * (low + high))
         done = ((np.abs(f) <= noise) | (step == t)
                 | ~((low < step) & (step < high)))  # NaN ends here
@@ -685,7 +696,8 @@ def run_double(
     The start is the state ``init_double(theta, grid)`` holds, but it is
     never formed: each excited atom keeps the amplitude u of one atom in one
     comb, so with p = |u|^2 the populations are p11 = sin^2 p^2,
-    p2 = p3 = sin^2 p (1 - p) and p4 = sin^2 (1 - p)^2.  The default dt, the
+    p2 = p3 = sin^2 p (1 - p) and p4 = sin^2 (1 - p)^2, with p clamped to 1,
+    which |u|^2 rounds above just after t = 0.  The default dt, the
     sample spacing, is ``default_step(grid, double=True)``.
 
     Raises
@@ -698,7 +710,7 @@ def run_double(
         dt = default_step(grid, double=True)
     times, (u,), description = _exact_atoms(grid, [(1.0, np.zeros(grid.n))], t_max, dt,
                                             sample_stride)
-    p = np.abs(u) ** 2
+    p = np.minimum(np.abs(u) ** 2, 1.0)
     d00, d11 = math.cos(theta), math.sin(theta)
     excited = d11 ** 2
     one_photon = excited * p * (1.0 - p)

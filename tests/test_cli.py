@@ -534,14 +534,15 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     (["double", "--modes", "3", "--tmax", "1e300", "--stride", "1"], ["e+302 samples"]),
     (["single", "--modes", "3", "--tmax", "1e300"], ["e+302 RK4 steps"]),
     # a default window that overflows names the grid flags, not a --tmax never
-    # passed; the exact engine refuses the grid's spacing before its window
+    # passed
     *[([command, "--modes", "3", "--omega-a", "1e-300", "--length-ratio", "1e7"],
-       ["--omega-a", "--length-ratio"] + (["1e-150"] if command == "double" else
-                                          ["default --tmax", "overflows", "--tmax"]))
+       ["--omega-a", "--length-ratio", "default --tmax", "overflows", "--tmax"])
       for command in ("single", "double", "kernel")],
-    # a spacing whose squared eigenvector components overflow in the exact engine
-    *[(["double", "--modes", "3", "--omega-a", omega_a, "--length-ratio", "1e7", "--tmax", "1"],
-       ["--omega-a", "--length-ratio", "1e-150"]) for omega_a in ("1e-200", "1e-150")],
+    # secular terms up to G^2 / spacing past the float range: 21 / 5e-308 and
+    # 2001 / 1e-305 overflow, where the 1e-150 floor once refused
+    *[(["double", "--modes", modes, "--omega-a", omega_a, "--length-ratio", "1e7", "--tmax", "1"],
+       ["--omega-a", "--length-ratio", "--modes", "G^2/spacing", "limit"])
+      for modes, omega_a in (("21", "5e-301"), ("2001", "1e-298"))],
     # the window boundaries of every subcommand
     (["single", "--modes", "3", "--tmax", "0"], ["tmax"]),
     (["double", "--modes", "3", "--tmax", "-1"], ["tmax"]),
@@ -656,14 +657,19 @@ def test_wide_spacing_runs_or_exits_2(tmp_path, capsys, omega_a, profile, comman
     # couplings once overflowed and the run exited 2 naming --dt
     *[[command, "--modes", "3", "--omega-a", "1.7e308", "--length-ratio", "3"]
       for command in ("single", "double", "kernel")],
-    # 2e-150 over 2 is a mode spacing of exactly 1e-150, the exact engine's
-    # least; its shortened default window takes 2.9e11 steps of the default dt
+    # 2e-150 over 2 is a mode spacing of exactly 1e-150, the least before the
+    # G^2 / spacing rule replaced the floor; its shortened default window
+    # takes 2.9e11 steps of the default dt
     ["double", "--modes", "3", "--omega-a", "2e-150", "--length-ratio", "2",
      "--stride", "100000000"],
     # the trajectory runs refuse this grid (see above); the kernel trace,
     # linear in its phases, takes no frequency differences
     ["kernel", "--modes", "7", "--omega-a", "1e308", "--length-ratio", "3.1622776601683795",
      "--profile", "uniform"],
+    # spacings of 1e-207 and 1e-157, which the floor once refused
+    *[pytest.param(["double", "--modes", "3", "--omega-a", omega_a, "--length-ratio", "1e7",
+                    "--tmax", "1"], id=f"double-omega-a-{omega_a}")
+      for omega_a in ("1e-200", "1e-150")],
 ])
 def test_extreme_grids_run_with_finite_cells(tmp_path, argv):
     out = tmp_path / "run.csv"
@@ -682,8 +688,9 @@ def test_extreme_grids_run_with_finite_cells(tmp_path, argv):
     # the second point has more modes than the exact engine takes
     ["--initial", "double", "--axis", "n_modes", "--values", "3,2003", "--length-ratio", "3480",
      "--tmax", "1.0"],
-    # the second point's spacing is below the exact engine's limit
-    ["--axis", "omega_a", "--values", "4840,1e-150", "--modes", "3", "--length-ratio", "1e7",
+    # the second point's secular terms, up to G^2 / spacing = 21 / 5e-308,
+    # overflow float64's limit
+    ["--axis", "omega_a", "--values", "4840,5e-301", "--modes", "21", "--length-ratio", "1e7",
      "--tmax", "1.0"],
 ])
 def test_sweep_checks_work_limits_before_the_first_run(tmp_path, capsys, extra):

@@ -505,6 +505,22 @@ def test_double_run_records_expected_columns():
     assert traj.records["p00"][0] == pytest.approx(0.75)
 
 
+def test_double_populations_stay_in_range_just_after_the_start():
+    # At t = 1e-100 u(t) is the sum of the weights, which rounds |u|^2 above
+    # 1 on 45 of these 200 grids: unclamped, p2 = p3 reached -1.3e-15 and
+    # p11 1 + 2.7e-15.
+    rng = np.random.default_rng(5)
+    theta = math.pi / 2
+    for _ in range(200):
+        grid = build_mode_grid(SystemConfig(
+            omega_a=10.0 ** rng.uniform(0.0, 6.0), length_ratio=10.0 ** rng.uniform(3.0, 4.0),
+            n_modes=3, coupling_profile=("uniform", "sqrtfreq")[rng.integers(2)]))
+        columns = run_double(grid, theta, 1e-100, dt=1e-100).records
+        assert np.array_equal(columns["p2"], columns["p3"])
+        assert np.all(columns["p2"] >= 0.0) and np.all(columns["p4"] >= 0.0)
+        assert np.all(columns["p11"] <= math.sin(theta) ** 2)
+
+
 def test_single_run_records_expected_columns():
     grid = build_mode_grid(reference_config(3, 670.0))
     traj = run_single(grid, init_atoms_entangled(math.pi / 4, grid), t_max=0.5,
@@ -743,6 +759,30 @@ def test_comb_spectrum_offsets_match_bisection_at_wide_spacing(n, length_ratio, 
                                     grid.collective_coupling)
     _, reference = bisected_roots(grid, origin)
     assert np.all(np.abs(tau - reference) <= 4e-15 * np.abs(reference))
+
+
+def narrow_grid(n, profile, spacing):
+    """The reference comb length at a mode spacing far below the coupling."""
+    return build_mode_grid(SystemConfig(omega_a=spacing * 3480.0, length_ratio=3480.0,
+                                        n_modes=n, coupling_profile=profile))
+
+
+@pytest.mark.parametrize("spacing", [1e-160, 1e-230, 1e-300])
+@pytest.mark.parametrize("n", [3, 19, 99])
+@pytest.mark.parametrize("profile", ["uniform", "sqrtfreq"])
+def test_comb_spectrum_keeps_its_sweeps_at_narrow_spacing(profile, n, spacing):
+    # Below a spacing of about 1e-154 the slope g^2 / (delta - lam)^2 alone
+    # overflows; held in units of a power of two near the spacing, the model
+    # takes the same sweeps as at 1e-140, not the 49 to 52 of every root
+    # halving its bracket.  The count hangs on the grid's last bits (the outer roots'
+    # end game) at any spacing: at L = 1e7 the n = 3 sqrtfreq comb takes 6
+    # sweeps at 1e-140 and 9 at 1e-100 and at 1e-160.
+    grid = narrow_grid(n, profile, spacing)
+    origin, tau, sweeps = _secular_roots(grid.detunings, grid.couplings ** 2,
+                                         grid.collective_coupling)
+    _, reference = bisected_roots(grid, origin)
+    assert np.all(np.abs(tau - reference) <= 4e-15 * np.abs(reference))
+    assert sweeps == comb_spectrum(narrow_grid(n, profile, 1e-140)).sweeps
 
 
 @pytest.mark.parametrize("omega_a", [1e16, 3e16, 1e17, 1e20, 1e100])

@@ -350,8 +350,16 @@ SPREAD_ARGVS = [
 # frequency differences above the largest double: once exit 3, now exit 2
 @example(["double", "--modes", "7", "--omega-a", "1e308", "--length-ratio",
           "3.1622776601683795", "--profile", "uniform"])
-# a mode spacing of exactly the exact engine's least, 1e-150
+# a mode spacing of exactly 1e-150, the least before the G^2 / spacing rule
+# replaced the floor
 @example(["double", "--modes", "3", "--omega-a", "2e-150", "--length-ratio", "2"])
+# secular terms up to G^2 / spacing = 21 / 1.2e-307 run, 21 / 1.1e-307 overflow
+@example(["double", "--modes", "21", "--omega-a", "1.2e-300", "--length-ratio", "1e7",
+          "--tmax", "1"])
+@example(["double", "--modes", "21", "--omega-a", "1.1e-300", "--length-ratio", "1e7",
+          "--tmax", "1"])
+# a mode spacing of 1e-207, which the floor once refused
+@example(["double", "--modes", "3", "--omega-a", "1e-200", "--length-ratio", "1e7", "--tmax", "1"])
 # roots nearer their modes than float64 resolves: once exit 3, now exit 2
 @example(["double", "--modes", "3", "--omega-a", "5.0e307", "--length-ratio",
           "1.0000000000000773"])
