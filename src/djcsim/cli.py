@@ -34,9 +34,10 @@ exactly like flags, and command-line flags win over file values.  The
 single subcommand propagates with RK4, which checks its stability limit
 before the first step; double runs and every sweep point use the exact
 single-comb engine (see _plan).
-Every CSV number is written as %.16e, 17 significant digits that read back
-to the same float64; csvcells formats the cells in numpy blocks of 512
-rows, byte for byte.
+Every CSV number is written as %+.16e, a sign and 17 significant digits
+that read back to the same float64; csvcells formats the cells in numpy
+blocks of 512 rows, byte for byte, 24 bytes a cell with its separator
+wherever the exponent has two digits.
 Exit codes: 0 success, 2 invalid parameters, paths or a run over the work
 limits, 3 numerical failure (nonfinite amplitudes, or an exact spectrum
 that fails its check).
@@ -251,10 +252,23 @@ def _format_time(t: float, decimals: int = 6) -> str:
     return f"{t:.7g}"
 
 
+def _format_square(x: float) -> str:
+    """x * x in %.4g form; where the product overflows float64, from
+    2 log10(x), in the same scientific form."""
+    square = x * x
+    if math.isfinite(square):
+        return f"{square:.4g}"
+    exponent, fraction = divmod(2.0 * math.log10(x), 1.0)
+    digits = f"{10.0 ** fraction:.4g}"
+    if digits == "10":
+        exponent, digits = exponent + 1.0, "1"
+    return f"{digits}e+{exponent:.0f}"
+
+
 def _write_csv(path: str, first_column: str, times, records: dict) -> None:
     """Write the columns as rows of ``_CSV_SPEC`` values, formatting
-    ``_CSV_BLOCK`` rows at a time in ``csvcells.format_rows``; every cell
-    reads back to its float64."""
+    ``_CSV_BLOCK`` rows at a time in ``csvcells.format_rows``, whose buffer
+    is written as it is; every cell reads back to its float64."""
     columns = [times] + list(records.values())
     block = np.empty((_CSV_BLOCK, len(columns)))
     with open(path, "wb") as handle:
@@ -277,7 +291,7 @@ def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport
         regime = t_r * t_r
         warning = (f"  (below {_COLLAPSE_REGIME:g}: no collapse expected before the "
                    f"first round trip)" if regime < _COLLAPSE_REGIME else "")
-        print(f"Gamma*t_r={regime:.4g}{warning}")
+        print(f"Gamma*t_r={_format_square(t_r)}{warning}")
     times = [m * t_r for m in (1, 2, 3)]
     note = "  (single-mode cavity: Rabi-periodic, round-trip times not applicable)" \
         if config.n_modes == 1 else ""

@@ -1,11 +1,14 @@
-"""CSV cells of float64 values, byte for byte as ``%.16e`` writes them,
+"""CSV cells of float64 values, byte for byte as ``%+.16e`` writes them,
 formatted a block of rows at a time in numpy.
 
 ``format_rows`` turns a (rows, columns) float64 block into comma-separated,
-LF-terminated lines.  Zeros and values with 1e-6 < |v| < 1e17 are laid out
-in 24 bytes a cell by table lookups; Python's ``%`` formats the rest
-(nonfinite, |v| <= 1e-6 and |v| >= 1e17).  Every cell reads back to the
-float64 it was written from.
+LF-terminated lines.  A cell whose exponent has two digits takes exactly
+24 bytes, its separator included: a sign byte, 17 digits, the point, ``e``
+and a signed exponent.  Zeros and values with 1e-6 < |v| < 1e17 are laid
+out by table lookups; Python's ``%`` formats the rest (nonfinite,
+|v| <= 1e-6 and |v| >= 1e17).  A block holding a ``%`` text of another
+length (nonfinite, or a 3-digit exponent) is formatted whole by ``%``.
+Every cell reads back to the float64 it was written from.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import functools
 import numpy as np
 
 #: Every CSV number: 17 significant digits read back to the same float64.
-SPEC = "%.16e"
+SPEC = "%+.16e"
 #: Bytes of one cell's layout.
 _CELL = 24
 #: Veltkamp's splitting constant 2**27 + 1.
@@ -26,7 +29,7 @@ _SPLIT = 134217729.0
 def _tables():
     """Lookup tables of ``format_rows``, built on its first call.
 
-    A cell is six 4-byte words: ``lead`` holds [sign or NUL, d1, '.', d2]
+    A cell is six 4-byte words: ``lead`` holds [sign, d1, '.', d2]
     for a sign and the leading two digits, ``groups`` a 4-digit group,
     ``last`` [d15, d16, d17, 'e'] and ``exponents`` [exponent sign, two
     exponent digits, ','] for the power-of-ten index k of ``_mantissas``.
@@ -38,7 +41,7 @@ def _tables():
     e = np.full((1000, 1), ord("e"), np.uint8)
     last = np.hstack((digits[:1000, 1:], e)).view(np.uint32).ravel()
     lead = np.frombuffer(b"".join(b"%s%d.%d" % (sign, d // 10, d % 10)
-                                  for sign in (b"\0", b"-") for d in range(100)), np.uint32)
+                                  for sign in (b"+", b"-") for d in range(100)), np.uint32)
     exponents = np.frombuffer(b"".join(b"%+03d," % (16 - k) for k in range(23)), np.uint32)
     # exact powers of ten and their Veltkamp halves, for Dekker's TwoProduct
     power = np.array([float(10 ** k) for k in range(23)])
@@ -89,15 +92,15 @@ def _split(m, unit):
 
 def format_rows(block: np.ndarray) -> np.ndarray:
     """The bytes of the rows of ``block``, a (rows, columns) float64 array,
-    as CSV lines, each cell exactly as ``SPEC`` writes it.
+    as CSV lines in a uint8 array, each cell exactly as ``SPEC`` writes it.
 
     A fast cell's 17-digit mantissa (``_mantissas``) is split into its
     leading two digits, three 4-digit groups and its last three, which
     index the tables; a zero takes the mantissa 0 and the exponent +00.  A
-    cell that ``%`` formats is written NUL-padded over the first 23 bytes
-    of its layout.  The NUL bytes, the sign bytes of positive values and
-    that padding, are then deleted.  A ``%`` text of 24 characters, with a
-    3-digit exponent, does not fit, and ``%`` formats its block whole.
+    cell that ``%`` formats fills the first 23 bytes of its layout when its
+    text has 23 characters; any other length (``+nan``, ``-inf``, a 3-digit
+    exponent) does not fit, and ``%`` formats its block whole.  Otherwise
+    the result is a view of the cells' layouts, with no copy.
     """
     lead, groups, last, exponents, power, power_hi = _tables()
     rows, columns = block.shape
@@ -132,9 +135,9 @@ def format_rows(block: np.ndarray) -> np.ndarray:
     other = np.flatnonzero(~(fast | zero))
     if other.size:
         printed = [SPEC % x for x in v[other].tolist()]
-        if max(map(len, printed)) >= _CELL:
+        if any(len(cell) != _CELL - 1 for cell in printed):
             whole = "".join(",".join(SPEC % x for x in row) + "\n" for row in block.tolist())
             return np.frombuffer(whole.encode("ascii"), np.uint8)
         text[other, :-1] = np.array(printed, dtype=f"S{_CELL - 1}").view(np.uint8).reshape(
             -1, _CELL - 1)
-    return np.frombuffer(cells.tobytes().replace(b"\0", b""), np.uint8)
+    return text.ravel()

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import re
@@ -5,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -290,6 +292,51 @@ def test_csv_cells_outside_the_fast_path_are_the_spec(tmp_path, values):
     assert out.read_bytes() == expected.encode("ascii")
 
 
+@pytest.mark.parametrize("argv", [
+    ["single", "--modes", "19", "--tmax", "2.0"],
+    ["double", "--modes", "19", "--tmax", "2.0"],
+    ["kernel", "--modes", "19", "--profile", "uniform"],
+    ["sweep", "--axis", "theta", "--values", "pi/4,0", "--modes", "19", "--tmax", "2.0"],
+])
+def test_csv_cells_are_24_bytes_and_read_back_to_the_run(tmp_path, monkeypatch, argv):
+    import djcsim.cli as cli
+
+    written = {}
+    write_csv = cli._write_csv
+
+    def keep(path, first_column, times, records):
+        written[os.path.basename(path)] = [times, *records.values()]
+        write_csv(path, first_column, times, records)
+
+    monkeypatch.setattr(cli, "_write_csv", keep)
+    assert main([*argv, "--out", str(tmp_path / "run.csv")]) == 0
+    assert written
+    for name, columns in written.items():
+        path = tmp_path / name
+        lines = path.read_bytes().split(b"\n")[1:-1]
+        assert len(lines) == len(columns[0])
+        # every cell, the separator or line end included, is 24 bytes
+        assert {len(line) + 1 for line in lines} == {24 * len(columns)}
+        computed = np.array(columns, dtype=float).T
+        with open(path, newline="", encoding="ascii") as handle:
+            cells = list(csv.reader(handle))[1:]
+        by_float = np.array([[float(cell) for cell in row] for row in cells])
+        by_loadtxt = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        # bit for bit, the sign of zero included
+        assert by_float.tobytes() == computed.tobytes()
+        assert by_loadtxt.tobytes() == computed.tobytes()
+
+
+def test_sweep_summary_values_read_back_exactly(tmp_path):
+    values = "pi/4,0.1,1e-7,0,pi/2"
+    assert main(["sweep", "--axis", "theta", "--values", values, "--modes", "3",
+                 "--tmax", "1.0", "--out", str(tmp_path / "sweep.csv")]) == 0
+    lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
+    cells = [line.split(",")[0] for line in lines[1:]]
+    assert [SPEC % float(cell) for cell in cells] == cells
+    assert [float(cell) for cell in cells] == [parse_number(v) for v in values.split(",")]
+
+
 def test_csv_writer_peak_memory(tmp_path):
     import djcsim.cli as cli
 
@@ -309,7 +356,7 @@ def test_csv_writer_peak_memory(tmp_path):
     peak(1)  # the formatter's tables, built once per process
     block = peak(cli._CSV_BLOCK)
     # about 100 bytes a cell of one block: the mantissas' products, then
-    # the layouts, their keys and the joined bytes
+    # the layouts and their keys; the layouts are written as they are
     assert block <= 150 * 11 * cli._CSV_BLOCK
     # and no more for 40 blocks than for one
     assert peak(20000) <= block + 16384
@@ -786,6 +833,19 @@ def test_summary_names_the_regime(tmp_path, capsys, command, modes, length_ratio
         assert f"\n{regime}" in printed
     assert ("no collapse expected before the first round trip" in printed) == warns
     assert "Gamma" not in out.read_text()
+
+
+def test_regime_that_overflows_prints_its_exponent(tmp_path, capsys):
+    # t_r near 6.3e207: t_r * t_r overflows float64, the line still reads
+    # the product to 4 digits
+    assert main(["double", "--modes", "3", "--omega-a", "1e-200", "--length-ratio", "1e7",
+                 "--tmax", "1", "--out", str(tmp_path / "run.csv")]) == 0
+    (text,) = re.findall(r"^Gamma\*t_r=(\S+)$", capsys.readouterr().out, re.M)
+    mantissa, exponent = re.fullmatch(r"(\d(?:\.\d{1,3})?)e\+(\d+)", text).groups()
+    t_r = retardation_time(SystemConfig(omega_a=1e-200, length_ratio=1e7, n_modes=3))
+    exact = Fraction(t_r) ** 2
+    printed = Fraction(mantissa) * 10 ** int(exponent)
+    assert abs(printed - exact) <= Fraction(1, 2) * 10 ** (int(exponent) - 3)
 
 
 def test_summary_times_fit_16_characters_and_read_back():

@@ -110,6 +110,19 @@ def test_complementary_angle_swaps_the_cavities(grid, theta, init):
 
 
 @checked
+@given(grids(), thetas, st.sampled_from((init_atoms_entangled, init_fields_entangled)))
+@example(build_mode_grid(SystemConfig(omega_a=6529.085621924419,
+                                      length_ratio=806.1979208216349, n_modes=3,
+                                      coupling_profile="uniform")),
+         0.809471498388516, init_atoms_entangled)
+def test_exact_single_populations_stay_nonnegative_after_the_start(grid, theta, init):
+    # just after t = 0 the engine's |c|^2 can round above its block's norm
+    rec = run_single(grid, init(theta, grid), 1e-100, dt=1e-100, engine="exact").records
+    for name in ("pop1", "pop2", "pop_cav_a", "pop_cav_b"):
+        assert np.all(rec[name] >= 0.0), name
+
+
+@checked
 @given(slow_grids(), thetas, st.sampled_from((init_atoms_entangled, init_fields_entangled)))
 def test_rk4_complementary_angle_swaps_the_cavities(grid, theta, init):
     rec = run_single(grid, init(theta, grid), 3.0, engine="rk4").records
@@ -656,8 +669,12 @@ def powers_of_ten_and_neighbours(first, last):
 @example([1e16, 1e17, 99999999999999994.0, -99999999999999994.0], 1)
 @example([2.0 ** 53, 2.0 ** 53 + 2, -2.0 ** 53], 2)
 @example([5e-324, 1.7976931348623157e308, -5e-324, -1.7976931348623157e308], 4)
-# every cell formatted by %, its NUL padding deleted, last-column cells included
+# every cell formatted by %, last-column cells included; nonfinite and
+# 3-digit-exponent texts do not fill a cell, and % formats their block whole
 @example([math.nan, -math.inf, 1e-300, -5e-324, 1e20, 1e-7], 2)
+@example([math.inf, 0.5, -0.0, 1.0], 2)
+# % texts of 23 characters fill their cells beside fast ones
+@example([1e-50, 0.5, -1e50, -2e-7, 0.0, 1e99], 3)
 # the point after every digit, and none (x = 16); trailing zeros before it
 @example([s * 1.2345678901234567 * 10.0 ** x for x in range(17) for s in (1, -1)]
          + [10.0, 1234.5, 99999999.999999985], 3)
