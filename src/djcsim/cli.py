@@ -13,8 +13,8 @@ sweep    repeat single/double runs along one parameter axis and summarize
 Every subcommand takes the grid (--modes, --length-ratio, --omega-a,
 --profile), the window (--tmax, --dt), --out and --config; only the
 trajectory runs take --theta, --stride and --angle-convention.  Each run
-writes one CSV (headers mandatory, '.' decimal separator, LF line endings)
-and prints a summary to stdout.  Each run is planned whole before any work
+writes one CSV through csvcells.write_csv and prints a summary to stdout.
+Each run is planned whole before any work
 (_budget): the work limits, and two rules on the frequencies of its phases,
 at most f = max|delta| + G for a trajectory and max|delta| for the kernel
 trace.  Float64 rounds a phase by up to u f t, which must stay within 1e-6
@@ -34,10 +34,6 @@ exactly like flags, and command-line flags win over file values.  The
 single subcommand propagates with RK4, which checks its stability limit
 before the first step; double runs and every sweep point use the exact
 single-comb engine (see _plan).
-Every CSV number is written as %+.16e, a sign and 17 significant digits
-that read back to the same float64; csvcells formats the cells in numpy
-blocks of 512 rows, byte for byte, 24 bytes a cell with its separator
-wherever the exponent has two digits.
 Exit codes: 0 success, 2 invalid parameters, paths or a run over the work
 limits, 3 numerical failure (nonfinite amplitudes, or an exact spectrum
 that fails its check).
@@ -55,7 +51,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .csvcells import SPEC as _CSV_SPEC, format_rows
+from .csvcells import SPEC as _CSV_SPEC, write_csv
 from .evolve import (
     _SPECTRUM_TOL,
     IntegrationError,
@@ -101,16 +97,6 @@ MAX_MODES = 2001
 _COLLAPSE_REGIME = 5.0
 #: Phase rounding (radians) above which a run warns: the column tolerance.
 _PHASE_TOL = 1e-6
-#: CSV rows formatted at once.  A block costs about 50 us of numpy call
-#: overhead whatever its size, and past about 512 rows of 11 columns glibc
-#: returns each block's memory to the system and faults it in again: a
-#: dense sweep's 24.5k x 11 cells took 17.3, 15.6, 23.6 and 23.7 ms at 256,
-#: 512, 1024 and 2048 rows, and a double run's 2002 x 8 took 1.30, 1.06,
-#: 0.96 and 0.92 ms (best of three medians of 21, 2-core Xeon VM).  With
-#: glibc's trim and mmap thresholds raised to 256 MiB the dense sweep took
-#: 15.6, 14.3 and 13.6 ms at 512, 1024 and 2048 rows.  A 512 x 11 block
-#: peaks at 0.55 MiB.
-_CSV_BLOCK = 512
 
 _PI_EXPR = re.compile(r"^\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$")
 
@@ -263,21 +249,6 @@ def _format_square(x: float) -> str:
     if digits == "10":
         exponent, digits = exponent + 1.0, "1"
     return f"{digits}e+{exponent:.0f}"
-
-
-def _write_csv(path: str, first_column: str, times, records: dict) -> None:
-    """Write the columns as rows of ``_CSV_SPEC`` values, formatting
-    ``_CSV_BLOCK`` rows at a time in ``csvcells.format_rows``, whose buffer
-    is written as it is; every cell reads back to its float64."""
-    columns = [times] + list(records.values())
-    block = np.empty((_CSV_BLOCK, len(columns)))
-    with open(path, "wb") as handle:
-        handle.write((",".join([first_column] + list(records)) + "\n").encode("ascii"))
-        for lo in range(0, len(times), _CSV_BLOCK):
-            rows = block[:len(times) - lo]
-            for j, column in enumerate(columns):
-                rows[:, j] = column[lo:lo + _CSV_BLOCK]
-            handle.write(format_rows(rows))
 
 
 def _print_summary(config: SystemConfig, traj: Trajectory, report: RevivalReport,
@@ -475,8 +446,8 @@ def _run_trajectory(run: _Run) -> RevivalReport:
         traj = run_single(grid, state, run.t_max, dt=run.dt, sample_stride=run.stride,
                           engine=run.engine)
     out_path = args.out or f"djcsim_{scenario}.csv"
-    _write_csv(out_path, "t", traj.times, traj.records)
-    report = detect_revivals(traj, predicted_period=retardation_time(config))
+    write_csv(out_path, {"t": traj.times, **traj.records})
+    report = detect_revivals(traj)
     print(f"scenario: {scenario}  modes={config.n_modes} omega_a={config.omega_a} "
           f"length_ratio={config.length_ratio} profile={config.coupling_profile} "
           f"theta={config.theta!r} ({args.angle_convention} convention)")
@@ -492,7 +463,7 @@ def _run_kernel(run: _Run) -> None:
     values = memory_kernel(run.grid, taus)
     records = {"re_k": values.real, "im_k": values.imag, "abs_k": np.abs(values)}
     out_path = run.args.out or "djcsim_kernel.csv"
-    _write_csv(out_path, "tau", taus, records)
+    write_csv(out_path, {"tau": taus, **records})
     print(f"scenario: kernel  modes={config.n_modes} omega_a={config.omega_a} "
           f"length_ratio={config.length_ratio} profile={config.coupling_profile}")
     for note in run.notes:

@@ -430,6 +430,10 @@ def _secular_roots(delta, g2, reach):
                          [np.nextafter(max(0.0, -delta[-1]) + reach, np.inf)]))
     tau = np.concatenate(([0.5 * lo[0]], np.where(nearer_up, up, down), [0.5 * hi[-1]]))
     side_up = origin < np.arange(n + 1)  # the root lies above its pole
+    # an outer end is a bound, not a pole: a step may land on it while f has
+    # not narrowed it
+    outer_lo, outer_hi = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
+    outer_lo[0], outer_hi[n] = lo[0], hi[n]
     open_ = np.arange(n + 1)
     sweeps = 0
     while len(open_):
@@ -449,9 +453,11 @@ def _secular_roots(delta, g2, reach):
         high = hi[open_] = np.where(f > 0.0, t, hi[open_])
         below, above = _model_roots(slope, rest * u - slope * (t / u), g2[own])
         step = np.where(side_up[open_], above, below) * u
-        step = np.where((low < step) & (step < high), step, 0.5 * (low + high))
+        floor = np.where(low == outer_lo[open_], np.nextafter(low, -np.inf), low)
+        ceiling = np.where(high == outer_hi[open_], np.nextafter(high, np.inf), high)
+        step = np.where((floor < step) & (step < ceiling), step, 0.5 * (low + high))
         done = ((np.abs(f) <= noise) | (step == t)
-                | ~((low < step) & (step < high)))  # NaN ends here
+                | ~((floor < step) & (step < ceiling)))  # NaN ends here
         tau[open_] = np.where(done, t, step)
         open_ = open_[~done]
     return origin, tau, sweeps

@@ -51,7 +51,6 @@ class RevivalReport:
     above the floor, which is the observable round-trip echo time.
     """
 
-    predicted_period: float
     revivals: List[RevivalEvent] = field(default_factory=list)
     dead_intervals: List[Tuple[float, float]] = field(default_factory=list)
 
@@ -105,7 +104,7 @@ def first_rephasing_maximum(taus: np.ndarray, magnitudes: np.ndarray) -> float:
     return float(taus[below[0] + 1 + maxima[0]])
 
 
-def detect_revivals(traj: Trajectory, predicted_period: float = math.nan) -> RevivalReport:
+def detect_revivals(traj: Trajectory) -> RevivalReport:
     """Locate dead intervals and revival events in a concurrence trace.
 
     A dead interval is a maximal run of samples at or below ``FLOOR``;
@@ -132,7 +131,7 @@ def detect_revivals(traj: Trajectory, predicted_period: float = math.nan) -> Rev
     c = np.asarray(traj.records["c_ab"], dtype=float)
     gap = min(20.0 * _median(np.diff(t)), (t[-1] - t[0]) / 20.0) if len(t) > 1 else 0.0
 
-    report = RevivalReport(predicted_period=predicted_period)
+    report = RevivalReport()
 
     # Maximal runs at or below the floor, [first, last]; a run joins the
     # previous one when the blip between them is shorter than the gap.

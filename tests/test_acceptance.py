@@ -202,7 +202,7 @@ def test_criterion_5_retardation_timing(shipped):
         kind, cfg, grid, traj = runs[name]
         t_r = retardation_time(cfg)
         try:
-            report = detect_revivals(traj, predicted_period=t_r)
+            report = detect_revivals(traj)
             onset = first_revival_after_death(report).onset
             frac = (onset - t_r) / t_r
             part_ok = abs(frac) <= 0.05
@@ -232,7 +232,7 @@ def test_criterion_6_figure_behaviors(shipped):
     pop1 = traj.records["pop1"]
     t_r = retardation_time(cfg)
 
-    report = detect_revivals(traj, predicted_period=t_r)
+    report = detect_revivals(traj)
     first = first_revival_after_death(report)
     collapse_floor = float(np.min(c[t < first.onset]))
     a_ok = collapse_floor <= 0.05 and first.peak_value < c[0]

@@ -15,7 +15,7 @@ import djcsim
 from djcsim import (IntegrationError, SystemConfig, build_mode_grid, default_step,
                     first_kernel_echo, memory_kernel, retardation_time, run_double)
 from djcsim.cli import _build_parser, _format_time, _plan, main, parse_number
-from djcsim.csvcells import SPEC
+from djcsim.csvcells import _BLOCK, SPEC, write_csv
 from djcsim.evolve import Trajectory, sample_count, step_count
 from djcsim.revivals import detect_revivals, tau_count
 from make_reference import readme_commands, readme_snippet
@@ -249,8 +249,6 @@ def test_kernel_options_are_the_ones_it_reads():
 
 
 def test_csv_rows_are_17_significant_digits_of_each_value(tmp_path):
-    import djcsim.cli as cli
-
     rows = 2500  # more than two blocks
     times = np.arange(rows) * 0.1
     special = np.array([-0.0, 1e-300, math.inf, -math.inf, math.nan, 0.1 + 0.2,
@@ -261,7 +259,7 @@ def test_csv_rows_are_17_significant_digits_of_each_value(tmp_path):
         "k": np.arange(rows) - 7,  # an integer column is written as floats
     }
     out = tmp_path / "rows.csv"
-    cli._write_csv(str(out), "t", times, records)
+    write_csv(str(out), {"t": times, **records})
     columns = [times, *records.values()]
     expected = "t,x,y,k\n" + "".join(
         ",".join(SPEC % float(c[i]) for c in columns) + "\n" for i in range(rows))
@@ -280,13 +278,11 @@ def test_csv_rows_are_17_significant_digits_of_each_value(tmp_path):
     [1e-300, 0.5, 1e20, -0.0, math.nan, 1.2345e-6, -math.inf, 0.0, 1e-6, 1e17],  # mixed
 ])
 def test_csv_cells_outside_the_fast_path_are_the_spec(tmp_path, values):
-    import djcsim.cli as cli
-
-    rows = 2 * cli._CSV_BLOCK + 3  # not a multiple of the block
+    rows = 2 * _BLOCK + 3  # not a multiple of the block
     table = np.resize(np.array(values), (4, rows))
     records = {f"c{i}": column for i, column in enumerate(table[1:])}
     out = tmp_path / "rows.csv"
-    cli._write_csv(str(out), "t", table[0], records)
+    write_csv(str(out), {"t": table[0], **records})
     expected = "t,c0,c1,c2\n" + "".join(
         ",".join(SPEC % v for v in row) + "\n" for row in table.T.tolist())
     assert out.read_bytes() == expected.encode("ascii")
@@ -302,13 +298,12 @@ def test_csv_cells_are_24_bytes_and_read_back_to_the_run(tmp_path, monkeypatch, 
     import djcsim.cli as cli
 
     written = {}
-    write_csv = cli._write_csv
 
-    def keep(path, first_column, times, records):
-        written[os.path.basename(path)] = [times, *records.values()]
-        write_csv(path, first_column, times, records)
+    def keep(path, columns):
+        written[os.path.basename(path)] = list(columns.values())
+        write_csv(path, columns)
 
-    monkeypatch.setattr(cli, "_write_csv", keep)
+    monkeypatch.setattr(cli, "write_csv", keep)
     assert main([*argv, "--out", str(tmp_path / "run.csv")]) == 0
     assert written
     for name, columns in written.items():
@@ -338,8 +333,6 @@ def test_sweep_summary_values_read_back_exactly(tmp_path):
 
 
 def test_csv_writer_peak_memory(tmp_path):
-    import djcsim.cli as cli
-
     def peak(rows):
         # a dense sweep's columns: times, amplitudes of either sign, and a
         # norm that is exactly 1
@@ -348,16 +341,16 @@ def test_csv_writer_peak_memory(tmp_path):
         records["norm"] = np.ones(rows)
         tracemalloc.start()
         try:
-            cli._write_csv(str(tmp_path / "rows.csv"), "t", times, records)
+            write_csv(str(tmp_path / "rows.csv"), {"t": times, **records})
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     peak(1)  # the formatter's tables, built once per process
-    block = peak(cli._CSV_BLOCK)
+    block = peak(_BLOCK)
     # about 100 bytes a cell of one block: the mantissas' products, then
     # the layouts and their keys; the layouts are written as they are
-    assert block <= 150 * 11 * cli._CSV_BLOCK
+    assert block <= 150 * 11 * _BLOCK
     # and no more for 40 blocks than for one
     assert peak(20000) <= block + 16384
 

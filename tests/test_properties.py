@@ -33,8 +33,8 @@ from djcsim import (
     run_single,
     stability_limit,
 )
-from djcsim.cli import _CSV_BLOCK, _write_csv, main
-from djcsim.csvcells import SPEC, format_rows
+from djcsim.cli import main
+from djcsim.csvcells import _BLOCK, SPEC, format_rows, write_csv
 from djcsim.evolve import comb_spectrum, exact_amplitudes
 from djcsim.revivals import _median
 from djcsim.single import SingleExcState
@@ -630,13 +630,17 @@ def test_median_is_numpys(values):
 @given(st.lists(st.floats() | st.sampled_from((-0.0, 5e-324, 2.2250738585072009e-308,
                                                1.7976931348623157e308)),
                 min_size=1, max_size=200),
-       st.integers(1, 4), st.integers(_CSV_BLOCK + 1, 3 * _CSV_BLOCK))
+       st.integers(1, 4), st.integers(1, 3 * _BLOCK))
+# one row, and the block edges: one block, and two
+@example([0.5, -0.0, math.nan], 2, 1)
+@example([0.5, -0.0, math.nan], 2, _BLOCK)
+@example([0.5, -0.0, math.nan], 2, 2 * _BLOCK)
 def test_csv_cells_read_back_bit_for_bit(values, columns, rows):
     table = np.resize(np.array(values), (columns + 1, rows))
     records = {f"c{i}": col for i, col in enumerate(table[1:])}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rows.csv")
-        _write_csv(path, "t", table[0], records)
+        write_csv(path, {"t": table[0], **records})
         with open(path, encoding="ascii") as handle:
             lines = handle.read().splitlines()
     assert lines[0] == ",".join(["t", *records])

@@ -302,8 +302,7 @@ def test_report_invariants_on_synthetic_echo_train():
          + 0.5 * np.exp(-((t - 5.0) ** 2) / 0.05)
          + 0.3 * np.exp(-((t - 10.0) ** 2) / 0.05))
     c[c <= 1e-6] = 0.0
-    report = detect_revivals(trace(t, c), predicted_period=5.0)
-    assert report.predicted_period == 5.0
+    report = detect_revivals(trace(t, c))
     onsets = [ev.onset for ev in report.revivals]
     assert all(b > a for a, b in zip(onsets, onsets[1:]))
     for ev in report.revivals:
