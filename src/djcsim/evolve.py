@@ -22,7 +22,9 @@ rational model inside bisection brackets.  The exact engine
 holds the atom amplitudes as a ``PhaseSeries`` over them, which evaluates
 them at the sample times or at any others, with no step and no stepping
 error.  ``run_double`` always uses it; ``run_single`` takes
-``engine="exact"`` or ``engine="rk4"``.
+``engine="exact"`` or ``engine="rk4"``.  A single start whose cavity b
+block is a multiple r of cavity a's, as every CLI start is, needs cavity
+a's series alone: c2 = r c1.
 
 ``expm_oracle`` is the independent cross-check: one cavity's propagator
 from a dense eigendecomposition of its generator, applied to each cavity
@@ -632,6 +634,25 @@ def _exact_atoms(grid: ModeGrid, blocks, t_max: float, dt: float, sample_stride:
     return times, out, description
 
 
+def _start_ratio(a: np.ndarray, b: np.ndarray):
+    """r with b = r a, if b a_k and a b_k agree exactly entry by entry at
+    the largest entry a_k of a; else None.
+
+    The test takes no quotient, so it holds bit for bit for the CLI's
+    starts at every theta, and it passes by a rounding coincidence only
+    where b equals r a to rounding.  a_k must be a normal float and r
+    finite: below the normal range a's series would round to a grain that
+    r magnifies.  A nonfinite start fails the test, and the engine's own
+    check then rejects it.
+    """
+    k = np.argmax(np.abs(a))
+    with np.errstate(all="ignore"):
+        if not (abs(a[k]) >= np.finfo(float).tiny and np.array_equal(b * a[k], a * b[k])):
+            return None
+        ratio = b[k] / a[k]
+    return ratio if np.isfinite(ratio) else None
+
+
 def run_single(
     grid: ModeGrid,
     state0: SingleExcState,
@@ -647,7 +668,10 @@ def run_single(
     sample the same times.  ``engine="exact"`` propagates each cavity block
     to its atom amplitude; the photon populations follow from the block's
     conserved norm.  Each atom population is clamped to that norm, which
-    |c|^2 rounds above just after t = 0.
+    |c|^2 rounds above just after t = 0.  The cavities evolve alike, so when
+    cavity b starts at r times cavity a's start, as every CLI start does
+    (r = tan theta), the exact engine sums cavity a's series alone and takes
+    c2 = r c1 and |c2| = |r| |c1|.
     """
     if engine not in ("exact", "rk4"):
         raise ValueError(f"engine must be 'exact' or 'rk4', got {engine!r}")
@@ -655,19 +679,34 @@ def run_single(
         dt = default_step(grid)
 
     if engine == "exact":
-        times, (c1, c2), description = _exact_atoms(
-            grid, [(state0.c1, state0.ca), (state0.c2, state0.cb)], t_max, dt, sample_stride)
+        cavity_a, cavity_b = (state0.c1, state0.ca), (state0.c2, state0.cb)
+        ratio = _start_ratio(np.concatenate(([state0.c1], state0.ca)),
+                             np.concatenate(([state0.c2], state0.cb)))
+        if ratio is None:
+            times, (c1, c2), description = _exact_atoms(
+                grid, [cavity_a, cavity_b], t_max, dt, sample_stride)
+            abs1, abs2 = np.abs(c1), np.abs(c2)
+        else:
+            times, (c1,), description = _exact_atoms(grid, [cavity_a], t_max, dt,
+                                                     sample_stride)
+            abs1 = np.abs(c1)
+            # r = 0 leaves cavity b empty: +0, as the sum of zero weights
+            # gives, where 0 c1 would carry c1's signs
+            c2 = c1 * ratio if ratio else np.zeros_like(c1)
+            abs2 = abs(ratio) * abs1
+            # times[0] is 0, where the sample is the start itself
+            c2[0], abs2[0] = state0.c2, np.abs(state0.c2)
         # the blocks' conserved norms, once per run: called through the
         # single module, as the benchmark's tracer times this module's name
         # per RK4 sample only
         start = _single.observables_single(state0)
         block_a = start["pop1"] + start["pop_cav_a"]
         block_b = start["pop2"] + start["pop_cav_b"]
-        pop1 = np.minimum(np.abs(c1) ** 2, block_a)
-        pop2 = np.minimum(np.abs(c2) ** 2, block_b)
+        pop1 = np.minimum(abs1 ** 2, block_a)
+        pop2 = np.minimum(abs2 ** 2, block_b)
         pop_a = block_a - pop1
         pop_b = block_b - pop2
-        records = {"c_ab": 2.0 * np.abs(c1) * np.abs(c2), "pop1": pop1, "pop2": pop2,
+        records = {"c_ab": 2.0 * abs1 * abs2, "pop1": pop1, "pop2": pop2,
                    "pop_cav_a": pop_a, "pop_cav_b": pop_b, "norm": pop1 + pop2 + pop_a + pop_b,
                    "re_c1": c1.real, "im_c1": c1.imag, "re_c2": c2.real, "im_c2": c2.imag}
         return Trajectory(times=times, records=records, engine=description)

@@ -10,6 +10,11 @@ its row count, 32 evenly spaced values, min, max and sum, and for each run
 the numbers its stdout prints, as printed.  It prints the sha256 of every
 CSV file and of every run's stdout, for the change log.
 
+    PYTHONPATH=src python tests/make_reference.py --digests
+
+prints the same sha256 lines and leaves the record as it is: run it in two
+checkouts and compare the output to see which runs' bytes a change moves.
+
 ``test_reference.py`` reruns the list and compares: RK4 runs (``single``,
 and the snippet's ``run_single``) to within 1e-6, the column bar of
 "keeps the outputs", and exact-engine runs to within 1e-12.  sha256 is not
@@ -19,6 +24,7 @@ record changes test data: say which columns moved, and by how much.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -174,13 +180,20 @@ def compare(name: str, ref: dict, got: dict) -> List[str]:
     return problems
 
 
-def main() -> int:
+def main(argv: List[str]) -> int:
+    parser = argparse.ArgumentParser(description="Record the README runs and the "
+                                     "benchmark workloads in reference_outputs.json.")
+    parser.add_argument("--digests", action="store_true",
+                        help="print the sha256 of every output only; keep the record")
+    digests_only = parser.parse_args(argv).digests
     record = {}
     for name in runs():
         with tempfile.TemporaryDirectory() as workdir:
             record[name], hashes = run(name, workdir)
         for file, digest in hashes.items():
             print(f"{digest}  {name} :: {file}")
+    if digests_only:
+        return 0
     text = json.dumps(record, indent=1)
     # each list on one line
     RECORD.write_text(re.sub(r"\[[^][{}]*\]", lambda m: " ".join(m[0].split()), text) + "\n")
@@ -189,4 +202,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -539,18 +539,108 @@ def random_single_state(n, rng):
 @pytest.mark.parametrize("n", [1, 3, 19])
 @pytest.mark.parametrize("profile", ["uniform", "sqrtfreq"])
 def test_exact_single_matches_expm_oracle(n, profile):
+    # a generic start sums both cavities' series; the CLI's starts, with
+    # cavity b's start a multiple of cavity a's, sum one
     grid = build_mode_grid(reference_config(n, 670.0, profile))
+    states = [random_single_state(n, np.random.default_rng(n))] + [
+        init(theta, grid) for init in (init_atoms_entangled, init_fields_entangled)
+        for theta in (0.0, math.pi / 7, math.pi / 2)]
+    for state in states:
+        traj = run_single(grid, state, t_max=3.0, dt=0.35, engine="exact")
+        assert len(traj) == 10
+        rec = traj.records
+        for i, t in enumerate(traj.times):
+            ref = expm_oracle(state, grid, t)
+            assert abs(rec["re_c1"][i] + 1j * rec["im_c1"][i] - ref.c1) <= 1e-10
+            assert abs(rec["re_c2"][i] + 1j * rec["im_c2"][i] - ref.c2) <= 1e-10
+            assert abs(rec["pop_cav_a"][i] - np.sum(np.abs(ref.ca) ** 2)) <= 1e-10
+            assert abs(rec["pop_cav_b"][i] - np.sum(np.abs(ref.cb) ** 2)) <= 1e-10
+            assert abs(rec["c_ab"][i] - concurrence_single_closed(ref)) <= 1e-10
+
+
+def two_series_columns(grid, state, t_max, dt):
+    """``run_single``'s exact columns with both cavities' series summed, as
+    for any start: the reference for the one-series path."""
+    times, (c1, c2), _ = _exact_atoms(grid, [(state.c1, state.ca), (state.c2, state.cb)],
+                                      t_max, dt, 1)
+    start = observables_single(state)
+    block_a = start["pop1"] + start["pop_cav_a"]
+    block_b = start["pop2"] + start["pop_cav_b"]
+    pop1 = np.minimum(np.abs(c1) ** 2, block_a)
+    pop2 = np.minimum(np.abs(c2) ** 2, block_b)
+    pop_a, pop_b = block_a - pop1, block_b - pop2
+    return times, {"c_ab": 2.0 * np.abs(c1) * np.abs(c2), "pop1": pop1, "pop2": pop2,
+                   "pop_cav_a": pop_a, "pop_cav_b": pop_b,
+                   "norm": pop1 + pop2 + pop_a + pop_b,
+                   "re_c1": c1.real, "im_c1": c1.imag, "re_c2": c2.real, "im_c2": c2.imag}
+
+
+def test_start_ratio_needs_an_exact_normal_multiple():
+    grid = build_mode_grid(reference_config(19, 670.0))
+    for init in (init_atoms_entangled, init_fields_entangled):
+        for theta in (0.0, math.pi / 7, math.pi / 2):
+            state = init(theta, grid)
+            a = np.concatenate(([state.c1], state.ca))
+            b = np.concatenate(([state.c2], state.cb))
+            assert evolve._start_ratio(a, b) == b[np.argmax(np.abs(a))] / np.max(np.abs(a))
+    a = np.array([0.6, 0.0, 0.8j])
+    assert evolve._start_ratio(a, 0.5 * a) == 0.5
+    b = 0.5 * a
+    b[1] = 1e-300  # not a multiple
+    assert evolve._start_ratio(a, b) is None
+    assert evolve._start_ratio(np.zeros(3), a) is None
+    # a subnormal pivot, and a quotient past the float range
+    assert evolve._start_ratio(np.array([1e-310, 0.0]), np.array([1e-5, 0.0])) is None
+    assert evolve._start_ratio(np.array([1e-300, 0.0]), np.array([1e10, 0.0])) is None
+
+
+@pytest.mark.parametrize("n,length_ratio", [(1, 670.0), (19, 670.0), (99, 3480.0)])
+def test_shared_start_sums_one_series(n, length_ratio, monkeypatch):
+    grid = build_mode_grid(reference_config(n, length_ratio, "sqrtfreq"))
+    t_max, dt = 3.0, default_step(grid)
+    u = 2.0 ** -53
+    summed = []
+
+    def counted(grid, blocks, *args):
+        summed.append(len(blocks))
+        return _exact_atoms(grid, blocks, *args)
+
+    monkeypatch.setattr(evolve, "_exact_atoms", counted)
+
+    def bits(columns):
+        return {key: column.tobytes() for key, column in columns.items()}
+
+    # a generic start keeps the two-series sum, bit for bit
     state = random_single_state(n, np.random.default_rng(n))
-    traj = run_single(grid, state, t_max=3.0, dt=0.35, engine="exact")
-    assert len(traj) == 10
-    rec = traj.records
-    for i, t in enumerate(traj.times):
-        ref = expm_oracle(state, grid, t)
-        assert abs(rec["re_c1"][i] + 1j * rec["im_c1"][i] - ref.c1) <= 1e-10
-        assert abs(rec["re_c2"][i] + 1j * rec["im_c2"][i] - ref.c2) <= 1e-10
-        assert abs(rec["pop_cav_a"][i] - np.sum(np.abs(ref.ca) ** 2)) <= 1e-10
-        assert abs(rec["pop_cav_b"][i] - np.sum(np.abs(ref.cb) ** 2)) <= 1e-10
-        assert abs(rec["c_ab"][i] - concurrence_single_closed(ref)) <= 1e-10
+    _, expected = two_series_columns(grid, state, t_max, dt)
+    assert bits(run_single(grid, state, t_max, dt, engine="exact").records) == bits(expected)
+    assert summed == [2]
+
+    # a shared start sums one series and moves only cavity b's columns: c2
+    # is a second evaluation of one amplitude, plus the rounding of r and of
+    # r c1, and a population |c|^2 moves by up to twice its amplitude
+    cavity_b = ("c_ab", "pop2", "pop_cav_b", "norm", "re_c2", "im_c2")
+    for init in (init_atoms_entangled, init_fields_entangled):
+        for theta in (0.0, math.pi / 7, 0.6474864616138795, math.pi / 2):
+            state = init(theta, grid)
+            times, expected = two_series_columns(grid, state, t_max, dt)
+            summed.clear()
+            got = run_single(grid, state, t_max, dt, engine="exact").records
+            assert summed == [1]
+            assert list(got) == list(expected)
+            bound = 2.0 * (amplitude_bound(grid, times) + 2.0 * u)
+            for key in expected:
+                if key in cavity_b:
+                    assert np.all(np.abs(got[key] - expected[key]) <= bound), (init, theta, key)
+                else:
+                    assert got[key].tobytes() == expected[key].tobytes(), key
+            # the start itself at t = 0
+            assert got["re_c2"][0] + 1j * got["im_c2"][0] == state.c2
+            assert got["pop_cav_b"][0] == expected["pop_cav_b"][0]
+            if theta == 0.0:
+                # cavity b is empty: +0 throughout, as the sum of zero weights gives
+                for key in ("c_ab", "pop2", "pop_cav_b", "re_c2", "im_c2"):
+                    assert not np.any(got[key]) and not np.any(np.signbit(got[key]))
 
 
 @pytest.mark.parametrize("n", [1, 3, 19, 49])
